@@ -6,13 +6,18 @@
 //! instrumented decoder, i.e. the hooks themselves cost nothing and all
 //! real cost sits behind the enabled check.
 //!
-//! Methodology: interleaved min-of-samples. Each sample times a batch of
-//! decodes; taking the minimum over several interleaved samples strips
-//! scheduler noise (the minimum is the cleanest observation of the true
-//! cost, and both paths get the same thermal/cache environment). The
-//! disabled path genuinely does less work, so `min(disabled)` exceeding
-//! `min(enabled)` by more than the 1% tolerance means the disabled
-//! fast-path check broke.
+//! Methodology: interleaved paired samples. Each sample times one decode
+//! on each path back to back, alternating which path goes first, and the
+//! guard reads the median of the per-pair ratios. Load
+//! from other processes and CPU frequency changes come in phases that
+//! last several samples and shift both halves of a pair alike, so a pair
+//! ratio cancels them; a minimum taken over each path separately does
+//! not (its two minima can come from different phases, measured to
+//! swing the comparison by ±6% on a shared 2-core box). The sample count
+//! is fixed: stopping at the first in-bounds median would let noise
+//! manufacture a pass. The disabled path genuinely does less work, so a
+//! median disabled/enabled ratio above 1.01 means the disabled fast-path
+//! check broke.
 
 use lf_bench::standard_fixture;
 use lf_core::config::DecoderConfig;
@@ -21,20 +26,15 @@ use lf_obs::ObsContext;
 use lf_sim::experiments::Scale;
 use std::time::{Duration, Instant};
 
-/// Minimum interleaved samples before the bounds are consulted.
-const MIN_SAMPLES: usize = 7;
-/// Hard cap on samples: a persistent regression fails here; scheduler
-/// noise (which only ever *inflates* a minimum) gets time to wash out.
-const MAX_SAMPLES: usize = 35;
-const DECODES_PER_SAMPLE: usize = 4;
+/// Interleaved sample pairs (odd, so the median is one pair's ratio).
+const SAMPLES: usize = 61;
 
-fn time_batch(decoder: &Decoder, signal: &[lf_types::Complex]) -> Duration {
+fn time_decode(decoder: &Decoder, signal: &[lf_types::Complex]) -> Duration {
     let t0 = Instant::now();
-    for _ in 0..DECODES_PER_SAMPLE {
-        let decode = decoder.decode(signal);
-        assert!(!decode.streams.is_empty(), "fixture must decode");
-    }
-    t0.elapsed()
+    let decode = decoder.decode(signal);
+    let elapsed = t0.elapsed();
+    assert!(!decode.streams.is_empty(), "fixture must decode");
+    elapsed
 }
 
 #[test]
@@ -49,33 +49,31 @@ fn disabled_obs_is_free() {
     let enabled = Decoder::with_obs(cfg(), ObsContext::new());
 
     // Warm-up: page in both code paths and the allocator.
-    time_batch(&disabled, &fix.signal);
-    time_batch(&enabled, &fix.signal);
+    time_decode(&disabled, &fix.signal);
+    time_decode(&enabled, &fix.signal);
 
-    // Adaptive sampling: each minimum is monotone nonincreasing, so extra
-    // samples can only move a noisy observation *toward* the true cost —
-    // noise can delay a pass but never manufacture one. A genuine
-    // regression stays above the bound for all MAX_SAMPLES and fails.
-    let mut t_disabled = Duration::MAX;
-    let mut t_enabled = Duration::MAX;
-    let in_bounds = |d: Duration, e: Duration| {
-        d.as_secs_f64() <= e.as_secs_f64() * 1.01 && e.as_secs_f64() <= d.as_secs_f64() * 1.05
-    };
-    for sample in 0..MAX_SAMPLES {
-        t_disabled = t_disabled.min(time_batch(&disabled, &fix.signal));
-        t_enabled = t_enabled.min(time_batch(&enabled, &fix.signal));
-        if sample + 1 >= MIN_SAMPLES && in_bounds(t_disabled, t_enabled) {
-            break;
-        }
-    }
-
-    let overhead = t_enabled.as_secs_f64() / t_disabled.as_secs_f64().max(f64::MIN_POSITIVE) - 1.0;
+    // Per-pair disabled/enabled cost ratios, alternating which path runs
+    // first so neither always inherits the other's cache state.
+    let mut ratios: Vec<f64> = (0..SAMPLES)
+        .map(|k| {
+            let (d, e) = if k % 2 == 0 {
+                let d = time_decode(&disabled, &fix.signal);
+                (d, time_decode(&enabled, &fix.signal))
+            } else {
+                let e = time_decode(&enabled, &fix.signal);
+                (time_decode(&disabled, &fix.signal), e)
+            };
+            d.as_secs_f64() / e.as_secs_f64().max(f64::MIN_POSITIVE)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[SAMPLES / 2];
     println!(
-        "obs overhead: disabled {:.3} ms, instrumented {:.3} ms per batch \
-         ({:+.2}% instrumented vs disabled)",
-        t_disabled.as_secs_f64() * 1e3,
-        t_enabled.as_secs_f64() * 1e3,
-        overhead * 100.0,
+        "obs overhead: median disabled/enabled decode-time ratio {ratio:.4} over {SAMPLES} pairs \
+         ({:+.2}% instrumented vs disabled; pair ratios {:.3}..{:.3})",
+        (1.0 / ratio - 1.0) * 100.0,
+        ratios[0],
+        ratios[SAMPLES - 1],
     );
 
     // The guard: the disabled path may cost at most 1% relative to the
@@ -83,9 +81,9 @@ fn disabled_obs_is_free() {
     // this fires when the disabled fast-path check stops short-circuiting
     // and the hooks start doing work unconditionally.)
     assert!(
-        t_disabled.as_secs_f64() <= t_enabled.as_secs_f64() * 1.01,
+        ratio <= 1.01,
         "disabled observability path is >1% slower than the instrumented one: \
-         disabled {t_disabled:?} vs enabled {t_enabled:?}"
+         median disabled/enabled ratio {ratio:.4}"
     );
 
     // And the enabled-path budget: with metric handles pre-resolved once
@@ -94,8 +92,9 @@ fn disabled_obs_is_free() {
     // This fires when a per-epoch name lookup sneaks back into the hot
     // path.
     assert!(
-        t_enabled.as_secs_f64() <= t_disabled.as_secs_f64() * 1.05,
+        1.0 / ratio <= 1.05,
         "instrumented decode is >5% slower than disabled: \
-         enabled {t_enabled:?} vs disabled {t_disabled:?}"
+         median enabled/disabled ratio {:.4}",
+        1.0 / ratio
     );
 }

@@ -45,8 +45,11 @@ use crate::provenance::{
 };
 use crate::scratch::DecodeScratch;
 use crate::separate::{analyze_slots_with, StreamAnalysis};
-use crate::slots::{edge_owners_into, foreign_edges_into, slot_cleanliness, slot_differentials};
-use crate::streams::{find_streams_with, retrack_at_harmonic, TrackedStream};
+use crate::slots::{
+    companion_radius, edge_owners_into, foreign_edges_into, is_companion, slot_cleanliness,
+    slot_differentials,
+};
+use crate::streams::{find_streams_with, SearchArena, TrackedStream};
 use lf_dsp::checks;
 use lf_dsp::fold::{FoldTable, FoldedHistogram};
 use lf_obs::{Counter, Histogram, ObsContext, SpanGuard};
@@ -133,8 +136,9 @@ struct CarveRequest {
     residual_peak: f64,
 }
 
-/// Per-stream slot-level working state (stages 3–4 outputs).
-#[derive(Debug, Clone)]
+/// Per-stream working state (stages 3–5 outputs). A carve re-entry keeps
+/// the units of the streams whose inputs it did not change.
+#[derive(Debug, Clone, Default)]
 struct StreamUnit {
     /// Per-slot IQ differentials (stage 3).
     diffs: Vec<Complex>,
@@ -142,6 +146,10 @@ struct StreamUnit {
     clean: Vec<bool>,
     /// Cluster analysis and its provenance (stage 4).
     analysis: Option<(StreamAnalysis, SeparationProvenance)>,
+    /// Decoded outputs with their provenance (stage 5), carve record
+    /// still unset: the decode stage stamps the current one on every
+    /// pass.
+    decoded: Option<Vec<(DecodedStream, StreamProvenance)>>,
 }
 
 /// Shared per-epoch decode state: the borrowed IQ view, the edge arena,
@@ -162,9 +170,12 @@ pub struct EpochContext<'a> {
     msq: &'a mut Vec<f64>,
     select: &'a mut Vec<f64>,
     owner: &'a mut Vec<Option<usize>>,
+    prev_owner: &'a mut Vec<Option<usize>>,
     foreign: &'a mut Vec<(f64, Complex)>,
     unowned: &'a mut Vec<bool>,
     fold_hists: &'a mut Vec<FoldedHistogram>,
+    /// The stream search's working set, kept for the carve re-tracks.
+    search: &'a mut SearchArena,
     edges: Vec<EdgeEvent>,
     /// Admission-cascade rejections recorded by the edges and folding
     /// stages (goes into [`DecodeProvenance::admission`]).
@@ -177,6 +188,9 @@ pub struct EpochContext<'a> {
     carve_attempted: Vec<bool>,
     /// Per-tracked-stream carve record, populated by the re-entry pass.
     carves: Vec<Option<CarveProvenance>>,
+    /// Per-tracked-stream: an accepted carve replaced the track since the
+    /// slots stage last ran.
+    replaced: Vec<bool>,
     /// Carves scheduled for the next folding execution.
     carve_requests: Vec<CarveRequest>,
 }
@@ -190,9 +204,11 @@ impl<'a> EpochContext<'a> {
         msq: &'a mut Vec<f64>,
         select: &'a mut Vec<f64>,
         owner: &'a mut Vec<Option<usize>>,
+        prev_owner: &'a mut Vec<Option<usize>>,
         foreign: &'a mut Vec<(f64, Complex)>,
         unowned: &'a mut Vec<bool>,
         fold_hists: &'a mut Vec<FoldedHistogram>,
+        search: &'a mut SearchArena,
     ) -> Self {
         EpochContext {
             cfg,
@@ -201,9 +217,11 @@ impl<'a> EpochContext<'a> {
             msq,
             select,
             owner,
+            prev_owner,
             foreign,
             unowned,
             fold_hists,
+            search,
             edges: Vec::new(),
             admission: Vec::new(),
             tracked: Vec::new(),
@@ -211,6 +229,7 @@ impl<'a> EpochContext<'a> {
             outputs: Vec::new(),
             carve_attempted: Vec::new(),
             carves: Vec::new(),
+            replaced: Vec::new(),
             carve_requests: Vec::new(),
         }
     }
@@ -242,7 +261,8 @@ impl Stage for EdgesStage {
 
 /// Stage 2 — eye-pattern folding and drift tracking (§3.2). On a carve
 /// re-entry this stage re-tracks the requested streams at their carved
-/// harmonics instead of searching from scratch.
+/// harmonics instead of searching from scratch, and marks the ones it
+/// replaced for stages 3–5 to recompute.
 struct FoldingStage;
 
 impl Stage for FoldingStage {
@@ -263,18 +283,17 @@ impl Stage for FoldingStage {
                 ctx.cfg,
                 ctx.fold_hists,
                 &mut ctx.admission,
+                ctx.search,
             );
             ctx.carve_attempted = vec![false; ctx.tracked.len()];
             ctx.carves = vec![None; ctx.tracked.len()];
+            ctx.replaced = vec![false; ctx.tracked.len()];
+            ctx.units.clear();
         } else {
             let requests = std::mem::take(&mut ctx.carve_requests);
             for req in requests {
                 apply_carve(ctx, &req);
             }
-            // Downstream state describes the pre-carve tracks; stages 3–5
-            // recompute it on the way back down.
-            ctx.units.clear();
-            ctx.outputs.clear();
         }
         for ts in &ctx.tracked {
             checks::assert_finite_scalar("stream-tracking", ts.offset);
@@ -301,24 +320,69 @@ impl Stage for SlotsStage {
     }
     fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome {
         // Edge ownership across all tracked streams, computed once per
-        // epoch: stream k's window trimming must respect edges matched by
+        // pass: stream k's window trimming must respect edges matched by
         // the *other* streams but keep its own orphan companions (see
         // lf_core::slots).
+        std::mem::swap(ctx.owner, ctx.prev_owner);
         edge_owners_into(&ctx.tracked, ctx.edges.len(), ctx.owner);
-        ctx.units.clear();
+        let stale = if ctx.units.is_empty() {
+            vec![true; ctx.tracked.len()]
+        } else {
+            stale_streams(ctx)
+        };
+        ctx.units
+            .resize_with(ctx.tracked.len(), StreamUnit::default);
         for (si, ts) in ctx.tracked.iter().enumerate() {
+            if !stale[si] {
+                continue;
+            }
             foreign_edges_into(ts, si, &ctx.edges, &*ctx.owner, ctx.cfg, ctx.foreign);
             let diffs = slot_differentials(ctx.sums, ts, ctx.foreign, ctx.cfg);
             checks::assert_finite_complex("slot-differentials", &diffs);
             let clean = slot_cleanliness(ts, ctx.foreign, ctx.cfg);
-            ctx.units.push(StreamUnit {
+            ctx.units[si] = StreamUnit {
                 diffs,
                 clean,
-                analysis: None,
-            });
+                ..StreamUnit::default()
+            };
         }
+        ctx.replaced.fill(false);
         StageOutcome::Advance
     }
+}
+
+/// The streams a carve re-entry must recompute. A stream's foreign-edge
+/// list — and so its differentials, cleanliness, analysis and bits — is
+/// a function of its own track, the owner of every edge, and, for an
+/// unowned edge only, whether it sits within the stream's companion
+/// radius of a slot boundary. So a stream is stale when a carve replaced
+/// its track, when it owned or now owns an edge whose owner changed, or
+/// when such an edge is one it could count as a companion; every other
+/// stream's unit is still exact.
+fn stale_streams(ctx: &EpochContext<'_>) -> Vec<bool> {
+    let mut stale = ctx.replaced.clone();
+    let mut changed: Vec<f64> = Vec::new();
+    for (i, (was, now)) in ctx.prev_owner.iter().zip(ctx.owner.iter()).enumerate() {
+        if was == now {
+            continue;
+        }
+        for k in [was, now].into_iter().flatten() {
+            if let Some(s) = stale.get_mut(*k) {
+                *s = true;
+            }
+        }
+        if let Some(e) = ctx.edges.get(i) {
+            changed.push(e.time);
+        }
+    }
+    for (si, ts) in ctx.tracked.iter().enumerate() {
+        if stale[si] {
+            continue;
+        }
+        let radius = companion_radius(ts, ctx.cfg);
+        stale[si] = changed.iter().any(|&t| is_companion(ts, t, radius));
+    }
+    stale
 }
 
 /// Stage 4 — IQ-cluster collision detection and separation (§3.3–§3.4).
@@ -335,7 +399,7 @@ impl Stage for SeparationStage {
         "pipeline.stage.separation.ns"
     }
     fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome {
-        for unit in &mut ctx.units {
+        for unit in ctx.units.iter_mut().filter(|u| u.analysis.is_none()) {
             let (analysis, sep_prov) = analyze_slots_with(&unit.diffs, &unit.clean, ctx.cfg);
             match &analysis {
                 StreamAnalysis::Single(fit) => {
@@ -357,6 +421,8 @@ impl Stage for SeparationStage {
 }
 
 /// Stage 5 — bit recovery (§3.5) and per-stream provenance assembly.
+/// Bits are decoded once per unit; every pass re-stamps the carve
+/// records, which the carve stage updates between passes.
 struct DecodeStage;
 
 impl Stage for DecodeStage {
@@ -371,108 +437,120 @@ impl Stage for DecodeStage {
     }
     fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome {
         ctx.outputs.clear();
-        for (si, ts) in ctx.tracked.iter().enumerate() {
-            let Some(unit) = ctx.units.get(si) else {
+        for (si, (ts, unit)) in ctx.tracked.iter().zip(ctx.units.iter_mut()).enumerate() {
+            let StreamUnit {
+                diffs,
+                analysis,
+                decoded,
+                ..
+            } = unit;
+            let Some((analysis, sep_prov)) = analysis.as_ref() else {
                 continue;
             };
-            let Some((analysis, sep_prov)) = unit.analysis.clone() else {
-                continue;
-            };
-            // The per-stream provenance skeleton: what the fold, the
-            // tracker, and the carve saw; the analysis/decode fill the
-            // rest.
-            let base_prov = StreamProvenance {
-                rate_bps: ts.rate_bps,
-                fold: ts.fold.clone(),
-                n_matched: ts.n_matched(),
-                n_slots: ts.n_slots(),
-                residual_std: ts.residual_std,
-                carve: ctx.carves.get(si).cloned().flatten(),
-                ..StreamProvenance::default()
-            };
-            match analysis {
-                StreamAnalysis::Single(fit) => {
-                    let (bits, trace) = decode_single_traced(&unit.diffs, &fit, ctx.cfg);
-                    ctx.outputs.push((
-                        DecodedStream {
-                            rate: ts.rate,
-                            rate_bps: ts.rate_bps,
-                            offset: ts.offset,
-                            period: ts.period_est,
-                            bits,
-                            kind: StreamKind::Single,
-                            edge_vector: fit.e,
-                        },
-                        StreamProvenance {
-                            kind: Some(StreamKind::Single),
-                            separation: sep_prov,
-                            anchor: trace.anchor,
-                            path_metric: trace.path_metric,
-                            ..base_prov
-                        },
-                    ));
-                }
-                StreamAnalysis::Collided(fit) => {
-                    // The anchor slot's lattice classification pinned both
-                    // member signs during separation.
-                    let anchor = fit
-                        .assignments
-                        .first()
-                        .map_or(AnchorOutcome::NotEvaluated, |&(a, b)| {
-                            AnchorOutcome::Pinned { a, b }
-                        });
-                    for idx in 0..2 {
-                        let obs = fit.member_observations(idx, &unit.diffs);
-                        let e = if idx == 0 { fit.e1 } else { fit.e2 };
-                        let (bits, trace) =
-                            decode_member_traced(&obs, e, fit.member_emissions(idx), ctx.cfg);
-                        ctx.outputs.push((
-                            DecodedStream {
-                                rate: ts.rate,
-                                rate_bps: ts.rate_bps,
-                                offset: ts.offset,
-                                period: ts.period_est,
-                                bits,
-                                kind: StreamKind::CollisionMember,
-                                edge_vector: e,
-                            },
-                            StreamProvenance {
-                                kind: Some(StreamKind::CollisionMember),
-                                separation: sep_prov.clone(),
-                                anchor,
-                                path_metric: trace.path_metric,
-                                ..base_prov.clone()
-                            },
-                        ));
-                    }
-                }
-                StreamAnalysis::Unresolved => {
-                    lf_obs::event!(
-                        Warn,
-                        "stream at {} bps unresolved (k_scores={:?})",
-                        ts.rate_bps,
-                        sep_prov.k_scores
-                    );
-                    ctx.outputs.push((
-                        DecodedStream {
-                            rate: ts.rate,
-                            rate_bps: ts.rate_bps,
-                            offset: ts.offset,
-                            period: ts.period_est,
-                            bits: BitVec::new(),
-                            kind: StreamKind::Unresolved,
-                            edge_vector: Complex::ZERO,
-                        },
-                        StreamProvenance {
-                            kind: Some(StreamKind::Unresolved),
-                            separation: sep_prov,
-                            ..base_prov
-                        },
-                    ));
-                }
+            if let StreamAnalysis::Unresolved = analysis {
+                lf_obs::event!(
+                    Warn,
+                    "stream at {} bps unresolved (k_scores={:?})",
+                    ts.rate_bps,
+                    sep_prov.k_scores
+                );
+            }
+            let decoded =
+                decoded.get_or_insert_with(|| decode_unit(ts, diffs, analysis, sep_prov, ctx.cfg));
+            let carve = ctx.carves.get(si).cloned().flatten();
+            for (stream, prov) in decoded.iter() {
+                ctx.outputs.push((
+                    stream.clone(),
+                    StreamProvenance {
+                        carve: carve.clone(),
+                        ..prov.clone()
+                    },
+                ));
             }
         }
         StageOutcome::Advance
+    }
+}
+
+/// Decodes one analysed stream: one output for a single or unresolved
+/// stream, one per member for a separated collision. The provenance's
+/// carve record is left unset.
+fn decode_unit(
+    ts: &TrackedStream,
+    diffs: &[Complex],
+    analysis: &StreamAnalysis,
+    sep_prov: &SeparationProvenance,
+    cfg: &DecoderConfig,
+) -> Vec<(DecodedStream, StreamProvenance)> {
+    // The per-stream provenance skeleton: what the fold and the tracker
+    // saw; the analysis/decode fill the rest.
+    let base_prov = StreamProvenance {
+        rate_bps: ts.rate_bps,
+        fold: ts.fold.clone(),
+        n_matched: ts.n_matched(),
+        n_slots: ts.n_slots(),
+        residual_std: ts.residual_std,
+        ..StreamProvenance::default()
+    };
+    let stream = |bits, kind, edge_vector| DecodedStream {
+        rate: ts.rate,
+        rate_bps: ts.rate_bps,
+        offset: ts.offset,
+        period: ts.period_est,
+        bits,
+        kind,
+        edge_vector,
+    };
+    match analysis {
+        StreamAnalysis::Single(fit) => {
+            let (bits, trace) = decode_single_traced(diffs, fit, cfg);
+            vec![(
+                stream(bits, StreamKind::Single, fit.e),
+                StreamProvenance {
+                    kind: Some(StreamKind::Single),
+                    separation: sep_prov.clone(),
+                    anchor: trace.anchor,
+                    path_metric: trace.path_metric,
+                    ..base_prov
+                },
+            )]
+        }
+        StreamAnalysis::Collided(fit) => {
+            // The anchor slot's lattice classification pinned both
+            // member signs during separation.
+            let anchor = fit
+                .assignments
+                .first()
+                .map_or(AnchorOutcome::NotEvaluated, |&(a, b)| {
+                    AnchorOutcome::Pinned { a, b }
+                });
+            (0..2)
+                .map(|idx| {
+                    let obs = fit.member_observations(idx, diffs);
+                    let e = if idx == 0 { fit.e1 } else { fit.e2 };
+                    let (bits, trace) =
+                        decode_member_traced(&obs, e, fit.member_emissions(idx), cfg);
+                    (
+                        stream(bits, StreamKind::CollisionMember, e),
+                        StreamProvenance {
+                            kind: Some(StreamKind::CollisionMember),
+                            separation: sep_prov.clone(),
+                            anchor,
+                            path_metric: trace.path_metric,
+                            ..base_prov.clone()
+                        },
+                    )
+                })
+                .collect()
+        }
+        StreamAnalysis::Unresolved => vec![(
+            stream(BitVec::new(), StreamKind::Unresolved, Complex::ZERO),
+            StreamProvenance {
+                kind: Some(StreamKind::Unresolved),
+                separation: sep_prov.clone(),
+                ..base_prov
+            },
+        )],
     }
 }
 
@@ -645,10 +723,10 @@ fn principal_direction(edges: &[EdgeEvent], ts: &TrackedStream) -> Option<Comple
 }
 
 /// Executes one scheduled carve: re-track the fused stream at the carved
-/// harmonic over the edges no *other* stream owns, with the structural
-/// alias checks suspended (the split test already established the
-/// harmonic structure those checks exist to veto blind). The re-track
-/// replaces the fused track only when it explains materially more edges.
+/// harmonic over the edges no *other* stream owns, without the structural
+/// alias checks (the split test already established the harmonic
+/// structure those checks exist to veto blind). The re-track replaces the
+/// fused track only when it explains materially more edges.
 fn apply_carve(ctx: &mut EpochContext<'_>, req: &CarveRequest) {
     let n_matched_before = ctx
         .tracked
@@ -670,7 +748,11 @@ fn apply_carve(ctx: &mut EpochContext<'_>, req: &CarveRequest) {
                 // Keep the fused lock's fold record: the ambiguity is what
                 // the carve explains, and the provenance should show both.
                 new.fold = slot.fold.clone();
+                ctx.search.reclaim(&slot.matched, &new.matched);
                 *slot = new;
+            }
+            if let Some(r) = ctx.replaced.get_mut(req.stream) {
+                *r = true;
             }
         }
     }
@@ -691,24 +773,16 @@ fn apply_carve(ctx: &mut EpochContext<'_>, req: &CarveRequest) {
 
 /// Re-tracks the requested stream at its carved harmonic, seeded from the
 /// fused track's first matched edge, over the edges no other stream owns.
-fn retrack_for(ctx: &EpochContext<'_>, req: &CarveRequest) -> Option<TrackedStream> {
+/// The search arena's claim mask covers exactly the tracked streams'
+/// edges (the blind search left it so, and [`apply_carve`] moves it with
+/// every accepted carve).
+fn retrack_for(ctx: &mut EpochContext<'_>, req: &CarveRequest) -> Option<TrackedStream> {
     let ts = ctx.tracked.get(req.stream)?;
     let rate = BitRate::from_multiple(ts.rate.multiple().saturating_mul(req.harmonic)).ok()?;
-    let mut claimed = vec![false; ctx.edges.len()];
-    for (si, other) in ctx.tracked.iter().enumerate() {
-        if si == req.stream {
-            continue;
-        }
-        for m in other.matched.iter().flatten() {
-            if let Some(c) = claimed.get_mut(*m) {
-                *c = true;
-            }
-        }
-    }
     let seed_idx = ts.matched.iter().flatten().next().copied()?;
-    retrack_at_harmonic(
+    ctx.search.retrack_at_harmonic(
         &ctx.edges,
-        &claimed,
+        &ts.matched,
         seed_idx,
         rate,
         ctx.signal.len(),
@@ -804,13 +878,16 @@ impl PipelineGraph {
             msq,
             select,
             owner,
+            prev_owner,
             foreign,
             unowned,
             fold_hists,
+            search,
         } = scratch;
         prefix.rebuild(signal);
         let mut ctx = EpochContext::new(
-            cfg, signal, prefix, msq, select, owner, foreign, unowned, fold_hists,
+            cfg, signal, prefix, msq, select, owner, prev_owner, foreign, unowned, fold_hists,
+            search,
         );
         let mut per_stage = [Duration::ZERO; STAGE_COUNT];
         let mut i = 0usize;

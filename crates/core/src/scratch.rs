@@ -3,7 +3,8 @@
 //! One epoch decode used to allocate ~10 transient buffers — the prefix-sum
 //! table, the squared-magnitude series and its quickselect workspace, the
 //! edge→owner index, a per-stream foreign-edge list, the carve's unowned
-//! mask, and a fold histogram per candidate rate per gather round. All of
+//! mask, a fold histogram per candidate rate per gather round, and the
+//! stream search's edge views and candidate buffers. All of
 //! them are epoch-scoped and shape-stable across epochs, so a long-running
 //! reader worker can hold one [`DecodeScratch`] and decode epoch after
 //! epoch with zero steady-state allocation in those paths.
@@ -14,6 +15,7 @@
 //! the hot-path equivalence tests).
 
 use crate::edges::PrefixSums;
+use crate::streams::SearchArena;
 use lf_dsp::fold::FoldedHistogram;
 use lf_types::Complex;
 // Under the `lf-check` feature the pool's Mutex comes from the model
@@ -37,6 +39,10 @@ pub struct DecodeScratch {
     pub(crate) select: Vec<f64>,
     /// Edge→owning-stream index (slots stage).
     pub(crate) owner: Vec<Option<usize>>,
+    /// The previous slots pass's ownership index: a carve re-entry
+    /// compares it with the new one to find the streams whose inputs
+    /// changed (slots stage).
+    pub(crate) prev_owner: Vec<Option<usize>>,
     /// Foreign-edge list of the stream currently being processed
     /// (slots stage).
     pub(crate) foreign: Vec<(f64, Complex)>,
@@ -46,6 +52,10 @@ pub struct DecodeScratch {
     /// batched multi-period fold and reused across gather rounds and
     /// epochs (folding stage).
     pub(crate) fold_hists: Vec<FoldedHistogram>,
+    /// The stream search's edge views, time index, claim mask and
+    /// candidate buffers, reused by the epoch's carve re-tracks (folding
+    /// stage).
+    pub(crate) search: SearchArena,
 }
 
 /// A poison-tolerant pool of reusable values.

@@ -61,7 +61,7 @@ pub fn slot_differentials(
     // — maximal noise averaging, never straddling the adjacent boundary.
     // Everything is prefix-sum based, so wide windows cost nothing.
     let w = ((stream.period_est / 2.0 - 2.0 * guard).floor() as usize).clamp(2, 4096) as f64;
-
+    let mut cursor = 0usize;
     stream
         .slot_times
         .iter()
@@ -76,7 +76,7 @@ pub fn slot_differentials(
             // cancellation; the foreign steps were measured in stage 1.)
             let lo = t - guard - w;
             let hi = t + guard + w;
-            let start = foreign.partition_point(|f| f.0 < lo);
+            let start = seek(foreign, |f| f.0, &mut cursor, lo);
             for &(p, step) in foreign[start..].iter() {
                 if p > hi {
                     break;
@@ -107,14 +107,57 @@ pub fn slot_cleanliness(
     cfg: &DecoderConfig,
 ) -> Vec<bool> {
     let radius = cfg.edge_width.ceil() + 1.0 + 2.0 * cfg.edge_width;
+    let mut cursor = 0usize;
     stream
         .slot_times
         .iter()
         .map(|&t| {
-            let start = foreign.partition_point(|f| f.0 < t - radius);
+            let start = seek(foreign, |f| f.0, &mut cursor, t - radius);
             !foreign.get(start).is_some_and(|&(f, _)| f <= t + radius)
         })
         .collect()
+}
+
+/// `items.partition_point(|x| key_of(x) < key)` for `items` sorted by
+/// `key_of`, found by advancing `cursor` from its last position instead of
+/// a binary search: callers probe ascending keys, so a whole sweep costs
+/// O(items + probes). A key that steps backwards is detected (the item
+/// before the cursor is no longer below it — also true of a NaN key) and
+/// answered by the binary search, so the result is the partition point on
+/// every path.
+fn seek<T>(items: &[T], key_of: impl Fn(&T) -> f64, cursor: &mut usize, key: f64) -> usize {
+    while *cursor < items.len() && key_of(&items[*cursor]) < key {
+        *cursor += 1;
+    }
+    let prev_below = *cursor == 0 || key_of(&items[*cursor - 1]) < key;
+    if !prev_below {
+        *cursor = items.partition_point(|x| key_of(x) < key);
+    }
+    *cursor
+}
+
+/// Radius around a stream's slot boundaries inside which an orphan edge
+/// is the stream's companion rather than foreign to it (see
+/// [`foreign_edges`]).
+pub(crate) fn companion_radius(stream: &TrackedStream, cfg: &DecoderConfig) -> f64 {
+    (2.0 * cfg.edge_width).max(stream.period_est / 64.0) + cfg.edge_width
+}
+
+/// Whether `time` lies within `radius` of one of the two slot boundaries
+/// around it; `idx` is `slot_times.partition_point(|&t| t < time)`.
+fn near_slot(slot_times: &[f64], idx: usize, time: f64, radius: f64) -> bool {
+    [idx.wrapping_sub(1), idx]
+        .iter()
+        .filter_map(|&j| slot_times.get(j))
+        .any(|&t| (t - time).abs() <= radius)
+}
+
+/// Whether an orphan edge at `time` would be a companion of `stream` —
+/// the one input of [`foreign_edges`] that depends on an edge's position
+/// rather than its owner.
+pub(crate) fn is_companion(stream: &TrackedStream, time: f64, radius: f64) -> bool {
+    let idx = stream.slot_times.partition_point(|&t| t < time);
+    near_slot(&stream.slot_times, idx, time, radius)
 }
 
 /// The (time, measured step) of every edge that is *foreign* to the stream
@@ -151,7 +194,11 @@ pub fn foreign_edges_into(
     cfg: &DecoderConfig,
     out: &mut Vec<(f64, Complex)>,
 ) {
-    let companion_radius = (2.0 * cfg.edge_width).max(stream.period_est / 64.0) + cfg.edge_width;
+    let radius = companion_radius(stream, cfg);
+    let slot_times = &stream.slot_times;
+    // Edges arrive in time order, so one cursor merge-walks the slot grid
+    // alongside them.
+    let mut cursor = 0usize;
     out.clear();
     for (i, e) in all_edges.iter().enumerate() {
         match owner.get(i).copied().flatten() {
@@ -163,12 +210,8 @@ pub fn foreign_edges_into(
             None => {}
         }
         // Orphan: companion if near the slot grid.
-        let idx = stream.slot_times.partition_point(|&t| t < e.time);
-        let near = [idx.wrapping_sub(1), idx]
-            .iter()
-            .filter_map(|&j| stream.slot_times.get(j))
-            .any(|&t| (t - e.time).abs() <= companion_radius);
-        if !near {
+        let idx = seek(slot_times, |&t| t, &mut cursor, e.time);
+        if !near_slot(slot_times, idx, e.time, radius) {
             out.push((e.time, e.diff));
         }
     }
@@ -368,5 +411,35 @@ mod tests {
         let foreign = [(201.0, hb), (350.0, hb)];
         let clean = slot_cleanliness(&st, &foreign, &cfg());
         assert_eq!(clean, vec![true, false, true]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `seek` is exactly `partition_point` along any probe sequence:
+        /// ascending sweeps (the slots stage's access pattern), backward
+        /// steps, runs of equal keys and a NaN probe.
+        #[test]
+        fn seek_is_partition_point(
+            gaps in proptest::collection::vec(0.0f64..40.0, 0..200),
+            steps in proptest::collection::vec(-300.0f64..400.0, 1..200),
+            nan_at in 0usize..200,
+        ) {
+            // Gaps under 10 collapse to 0: runs of equal keys.
+            let mut items = Vec::with_capacity(gaps.len());
+            let mut t = 0.0f64;
+            for g in gaps {
+                t += (g - 10.0).max(0.0);
+                items.push(t);
+            }
+            let mut cursor = 0usize;
+            let mut key = -20.0f64;
+            for (k, step) in steps.into_iter().enumerate() {
+                key += step;
+                let probe = if k == nan_at { f64::NAN } else { key };
+                let want = items.partition_point(|&x| x < probe);
+                proptest::prop_assert_eq!(seek(&items, |&x| x, &mut cursor, probe), want);
+            }
+        }
     }
 }

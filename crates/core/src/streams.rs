@@ -23,7 +23,9 @@
 //!   candidate most of whose edges are already claimed is an alias or
 //!   zigzag over better-explained streams and is dropped.
 //!
-//! Structural alias checks run per candidate before arbitration:
+//! Structural alias checks run at arbitration, lazily: only a candidate
+//! that reaches its turn with none of its edges claimed pays for them
+//! (most candidates lose to a better-ranked overlapping one first):
 //!
 //! * a majority of matched slots in one residue class mod m means the
 //!   true stream is m× slower (down-alias);
@@ -54,42 +56,6 @@ use lf_types::BitRate;
 /// [`AdmissionGate::EpochEdgeCount`] admission gate).
 const MIN_TRACK_MATCHES: usize = 4;
 
-/// Which structural alias validations a tracking pass applies.
-///
-/// The blind stream search runs them all: they exist to stop a candidate
-/// from locking onto an alias of the true rate. A sub-harmonic *carve*
-/// re-track suspends them — the carve's split test has already
-/// established that the harmonic structure is real (residual edges on the
-/// sub-grid), and the residue-majority check would otherwise veto exactly
-/// the lock the carve is trying to make. The size gates (too few matches,
-/// sparse density) always apply.
-#[derive(Debug, Clone, Copy)]
-struct TrackChecks {
-    residue_majority: bool,
-    up_alias: bool,
-    interleave: bool,
-}
-
-impl TrackChecks {
-    /// All structural validations on — the blind search.
-    fn all() -> Self {
-        TrackChecks {
-            residue_majority: true,
-            up_alias: true,
-            interleave: true,
-        }
-    }
-
-    /// Alias validations suspended — the carve re-track.
-    fn carve() -> Self {
-        TrackChecks {
-            residue_majority: false,
-            up_alias: false,
-            interleave: false,
-        }
-    }
-}
-
 /// Reusable per-track scratch: an epoch-edge-indexed mask of the edges
 /// the current track has taken, the list of indices set in it, and the
 /// walk's slot-time/match buffers.
@@ -98,31 +64,48 @@ impl TrackChecks {
 /// index list — O(track length) per probe, quadratic per track, and the
 /// dominant cost of the folding stage at ci scale. The mask is O(1) per
 /// probe; clearing only the set bits between tracks keeps reset O(taken)
-/// instead of O(edges). The slot buffers are pooled for a different
-/// reason: the search walks ~6× more candidate tracks than it accepts,
-/// and rejected candidates used to allocate (and immediately free) their
-/// slot vectors — pooling them means only *accepted* tracks pay for an
-/// owned copy.
+/// instead of O(edges). The slot buffers are pooled because the search
+/// walks over ten times more tracks than it accepts: only an accepted
+/// track pays for an owned copy.
 #[derive(Debug, Default)]
 struct TrackScratch {
     taken_mask: Vec<bool>,
     taken: Vec<usize>,
-    /// Slot boundary times of the track currently being walked.
+    /// Slot boundary times of the track last walked.
     slot_times: Vec<f64>,
-    /// Per-slot matched edge index of the track currently being walked.
+    /// Per-slot matched edge index of the track last walked.
     matched: Vec<Option<usize>>,
 }
 
 impl TrackScratch {
-    /// Prepares the scratch for an epoch with `n_edges` edges. Bits set
-    /// by a previous track have already been cleared by [`track_stream`].
-    fn reset_for(&mut self, n_edges: usize) {
-        if self.taken_mask.len() < n_edges {
-            self.taken_mask.resize(n_edges, false);
-        }
+    /// Prepares the scratch for a new epoch of `n_edges` edges with an
+    /// all-clear mask, whatever state an interrupted walk left it in.
+    fn reset_epoch(&mut self, n_edges: usize) {
+        self.taken_mask.clear();
+        self.taken_mask.resize(n_edges, false);
         self.taken.clear();
+    }
+
+    /// Prepares the scratch for a walk. Bits set by the previous walk
+    /// have already been cleared by [`track_stream`].
+    fn begin_walk(&mut self) {
         self.slot_times.clear();
         self.matched.clear();
+    }
+
+    /// The track last walked, as an owned stream.
+    fn to_tracked(&self, walk: &Walk, fold: FoldProvenance) -> TrackedStream {
+        TrackedStream {
+            rate: walk.rate,
+            rate_bps: walk.rate_bps,
+            nominal_period: walk.nominal_period,
+            period_est: walk.period_est,
+            offset: walk.offset,
+            slot_times: self.slot_times.clone(),
+            matched: self.matched.clone(),
+            residual_std: walk.residual_std,
+            fold,
+        }
     }
 
     /// Marks edge `i` as taken by the current track.
@@ -151,12 +134,14 @@ const EDGE_INDEX_SHIFT: usize = 6;
 /// `start_of(t)` returns exactly `times.partition_point(|&x| x < t)`
 /// — the first edge at or after `t` — but via a bucketed table instead of
 /// a binary search. The tracker probes a slot window once per predicted
-/// slot of every candidate track (tens of thousands of probes per epoch
-/// at ci scale), and the branchy `partition_point` over the edge list was
-/// the single largest cost of the folding stage. The index works on the
-/// SoA `times` array (not the `EdgeEvent` structs): the probe loop walks
-/// times and strengths only, and the struct-of-arrays layout keeps those
-/// walks on dense cache lines (see DESIGN.md §15).
+/// slot of every candidate track (tens of thousands of probes per epoch),
+/// and neither a branchy `partition_point` nor a cursor stepped edge by
+/// edge keeps up: at the slow rates one bit period spans hundreds of
+/// edges. The index works on the SoA `times` array (not the `EdgeEvent`
+/// structs): the probe loop walks times and strengths only, and the
+/// struct-of-arrays layout keeps those walks on dense cache lines (see
+/// DESIGN.md §15).
+#[derive(Debug, Default)]
 struct EdgeTimeIndex {
     /// `bucket[b]` = index of the first edge with `time >= b << SHIFT`.
     bucket: Vec<u32>,
@@ -164,21 +149,19 @@ struct EdgeTimeIndex {
 }
 
 impl EdgeTimeIndex {
-    fn build(times: &[f64], n_samples: usize) -> Self {
+    /// Rebuilds the index over `times` for an `n_samples` capture,
+    /// reusing the bucket allocation.
+    fn rebuild(&mut self, times: &[f64], n_samples: usize) {
         let nb = (n_samples >> EDGE_INDEX_SHIFT) + 2;
-        let n_edges = times.len();
-        let mut bucket = vec![n_edges as u32; nb];
+        self.n_edges = times.len();
+        self.bucket.clear();
         let mut i = 0usize;
-        for (b, slot) in bucket.iter_mut().enumerate() {
+        for b in 0..nb {
             let t = (b << EDGE_INDEX_SHIFT) as f64;
             while i < times.len() && times[i] < t {
                 i += 1;
             }
-            *slot = i as u32;
-        }
-        EdgeTimeIndex {
-            bucket,
-            n_edges: times.len(),
+            self.bucket.push(i as u32);
         }
     }
 
@@ -238,6 +221,166 @@ impl TrackedStream {
     }
 }
 
+/// What a walk that passed the size gates measured: the stream's rate,
+/// its fitted period and anchor, and the two numbers arbitration ranks
+/// on. The walk itself is in the [`TrackScratch`] buffers.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    rate: BitRate,
+    rate_bps: f64,
+    nominal_period: f64,
+    period_est: f64,
+    /// Time of slot 0 — the seed edge.
+    offset: f64,
+    residual_std: f64,
+    n_matched: usize,
+}
+
+/// A blind-search candidate: its walk's measurements, its seed and fold
+/// record, and its matched edges at `start..end` of the round's flat
+/// [`Candidates::edges`] buffer.
+#[derive(Debug)]
+struct Candidate {
+    walk: Walk,
+    seed_idx: usize,
+    fold: FoldProvenance,
+    start: usize,
+    end: usize,
+}
+
+/// One gather round's candidates. A 16-tag epoch walks about a thousand
+/// candidate tracks and accepts about sixty, so a candidate keeps only
+/// what the ranking and the overlap test read — its measurements and its
+/// matched edge indices, in one flat buffer for the whole round. Its slot
+/// grid is not kept: the walk is deterministic, and arbitration re-walks
+/// the few candidates that reach their turn unopposed (keeping every
+/// candidate's slots held about 1.5 MB per round).
+#[derive(Debug, Default)]
+struct Candidates {
+    meta: Vec<Candidate>,
+    edges: Vec<u32>,
+}
+
+impl Candidates {
+    fn clear(&mut self) {
+        self.meta.clear();
+        self.edges.clear();
+    }
+
+    fn edges_of(&self, c: &Candidate) -> impl Iterator<Item = usize> + '_ {
+        self.edges[c.start..c.end].iter().map(|&i| i as usize)
+    }
+}
+
+/// The stream search's per-epoch working set: SoA views of the edge
+/// arena, their time index, the claim mask, and the track and candidate
+/// buffers. The blind search builds it once per epoch and leaves it
+/// describing the accepted streams, so every carve re-track of the epoch
+/// reuses it instead of rebuilding the views, the index and a claim mask
+/// per carve (a 16-tag epoch runs about twenty carves). Lives in
+/// [`crate::DecodeScratch`]; everything in it is rebuilt per epoch.
+#[derive(Debug, Default)]
+pub(crate) struct SearchArena {
+    /// Edge times, in edge order (sorted).
+    times: Vec<f64>,
+    /// Edge strengths, in edge order.
+    strengths: Vec<f64>,
+    index: EdgeTimeIndex,
+    /// `claimed[i]`: edge `i` is matched by an accepted stream.
+    claimed: Vec<bool>,
+    /// The claim mask as the current gather round's walks saw it.
+    gathered: Vec<bool>,
+    scratch: TrackScratch,
+    cands: Candidates,
+}
+
+/// Read-only edge data one track walks.
+struct EdgeView<'a> {
+    edges: &'a [EdgeEvent],
+    times: &'a [f64],
+    strengths: &'a [f64],
+    index: &'a EdgeTimeIndex,
+}
+
+impl SearchArena {
+    /// Rebuilds the views, the index and an all-clear claim mask for a
+    /// new epoch.
+    fn rebuild(&mut self, edges: &[EdgeEvent], n_samples: usize) {
+        self.times.clear();
+        self.times.extend(edges.iter().map(|e| e.time));
+        self.strengths.clear();
+        self.strengths.extend(edges.iter().map(|e| e.strength));
+        self.index.rebuild(&self.times, n_samples);
+        self.claimed.clear();
+        self.claimed.resize(edges.len(), false);
+        self.scratch.reset_epoch(edges.len());
+        self.cands.clear();
+    }
+
+    /// Re-tracks a carved stream at a harmonic of its fused rate, seeded
+    /// from a known-good edge, over the edges no *other* stream owns
+    /// (`own` is the carved stream's current match list; matched sets are
+    /// disjoint, so releasing its claims leaves exactly the others'). The
+    /// structural alias validations do not run — the caller's split test
+    /// already established the harmonic structure — but the size gates
+    /// (too few matches, sparse density) still apply. The claim mask is
+    /// left as it was; [`SearchArena::reclaim`] moves it when the caller
+    /// accepts the re-track.
+    pub(crate) fn retrack_at_harmonic(
+        &mut self,
+        edges: &[EdgeEvent],
+        own: &[Option<usize>],
+        seed_idx: usize,
+        rate: BitRate,
+        n_samples: usize,
+        cfg: &DecoderConfig,
+    ) -> Option<TrackedStream> {
+        let nominal_period = cfg.period_samples(rate.bps(cfg.rate_plan.base_bps()));
+        let SearchArena {
+            times,
+            strengths,
+            index,
+            claimed,
+            scratch,
+            ..
+        } = self;
+        let view = EdgeView {
+            edges,
+            times,
+            strengths,
+            index,
+        };
+        set_claims(claimed, own, false);
+        let tracked = track_stream(
+            &view,
+            claimed,
+            seed_idx,
+            rate,
+            nominal_period,
+            n_samples,
+            cfg,
+            scratch,
+        )
+        .map(|walk| scratch.to_tracked(&walk, FoldProvenance::default()));
+        set_claims(claimed, own, true);
+        tracked
+    }
+
+    /// Moves a replaced stream's claims from its old matches to its new.
+    pub(crate) fn reclaim(&mut self, old: &[Option<usize>], new: &[Option<usize>]) {
+        set_claims(&mut self.claimed, old, false);
+        set_claims(&mut self.claimed, new, true);
+    }
+}
+
+fn set_claims(claimed: &mut [bool], matched: &[Option<usize>], to: bool) {
+    for &i in matched.iter().flatten() {
+        if let Some(c) = claimed.get_mut(i) {
+            *c = to;
+        }
+    }
+}
+
 /// Finds and tracks all streams in an epoch's edge list. `n_samples` is
 /// the capture length. Edges must be sorted by time (detect_edges output).
 ///
@@ -254,12 +397,22 @@ pub fn find_streams(
 ) -> Vec<TrackedStream> {
     let mut hists = Vec::new();
     let mut admission = Vec::new();
-    find_streams_with(edges, n_samples, cfg, &mut hists, &mut admission)
+    let mut arena = SearchArena::default();
+    find_streams_with(
+        edges,
+        n_samples,
+        cfg,
+        &mut hists,
+        &mut admission,
+        &mut arena,
+    )
 }
 
 /// As [`find_streams`], but folding into caller-owned scratch histograms
-/// (one per candidate rate, reused across gather rounds) and recording
-/// admission-cascade rejections into `admission`.
+/// (one per candidate rate, reused across gather rounds), searching in a
+/// caller-owned [`SearchArena`] (left describing the accepted streams, for
+/// the carve re-tracks), and recording admission-cascade rejections into
+/// `admission`.
 ///
 /// The admission gates are *exact* short-circuits — each one skips work
 /// only when a cheap bound proves the skipped pass could not have
@@ -272,7 +425,14 @@ pub(crate) fn find_streams_with(
     cfg: &DecoderConfig,
     hists: &mut Vec<FoldedHistogram>,
     admission: &mut Vec<AdmissionRecord>,
+    arena: &mut SearchArena,
 ) -> Vec<TrackedStream> {
+    // SoA views of the edge arena: the tracker's window probes and the
+    // fold table touch only times and strengths, and walking them as
+    // dense f64 arrays instead of 40-byte `EdgeEvent` structs keeps the
+    // hot loops on contiguous cache lines (DESIGN.md §15). The `diff`
+    // field is only read by the alias validations, straight from `edges`.
+    arena.rebuild(edges, n_samples);
     // Epoch admission gate: a validating track needs MIN_TRACK_MATCHES
     // matched slots and each slot matches a distinct edge, so an epoch
     // with fewer edges than that cannot yield any stream — every
@@ -287,26 +447,31 @@ pub(crate) fn find_streams_with(
         });
         return Vec::new();
     }
-    let mut claimed = vec![false; edges.len()];
-    // SoA views of the edge arena: the tracker's window probes and the
-    // fold table touch only times and strengths, and walking them as
-    // dense f64 arrays instead of 40-byte `EdgeEvent` structs keeps the
-    // hot loops on contiguous cache lines (DESIGN.md §15). The `diff`
-    // field is only read by the (rare) alias validations, straight from
-    // `edges`.
-    let times: Vec<f64> = edges.iter().map(|e| e.time).collect();
-    let strengths: Vec<f64> = edges.iter().map(|e| e.strength).collect();
+    let SearchArena {
+        times,
+        strengths,
+        index,
+        claimed,
+        gathered,
+        scratch,
+        cands,
+    } = arena;
+    let view = EdgeView {
+        edges,
+        times,
+        strengths,
+        index,
+    };
     // One resumable fold table over the whole edge arena: each gather
     // round re-folds the still-active events at every candidate period;
     // claiming a stream's edges retires them from every later fold
     // without rebuilding the event arrays.
     let mut table = FoldTable::with_unit_weights(times.clone());
     let mut streams: Vec<TrackedStream> = Vec::new();
-    let mut scratch = TrackScratch::default();
-    let index = EdgeTimeIndex::build(&times, n_samples);
     let base = cfg.rate_plan.base_bps();
     let mut rate_folds: Vec<RateFold> = Vec::new();
     let mut specs: Vec<FoldSpec> = Vec::new();
+    let mut order: Vec<(f64, usize)> = Vec::new();
     for round in 0..4 {
         rate_folds.clear();
         specs.clear();
@@ -357,21 +522,9 @@ pub(crate) fn find_streams_with(
         // Batched multi-period fold: one pass over the still-active
         // events accumulates every admitted rate's histogram.
         table.fold_many_within_to(&specs, hists);
-        let mut candidates = Vec::new();
+        cands.clear();
         for (rf, hist) in rate_folds.iter().zip(hists.iter()) {
-            gather_candidates(
-                edges,
-                &times,
-                &strengths,
-                &claimed,
-                rf,
-                hist,
-                n_samples,
-                cfg,
-                &mut scratch,
-                &index,
-                &mut candidates,
-            );
+            gather_candidates(&view, claimed, rf, hist, n_samples, cfg, scratch, cands);
         }
         // Rank by explanatory power weighted by track quality: matched
         // edges times a Gaussian penalty on residual dispersion. This puts
@@ -379,42 +532,62 @@ pub(crate) fn find_streams_with(
         // slow hypothesis carving a fast stream) and a 270-edge zigzag
         // with several samples of dispersion. Ties (one stream explained
         // at its true rate vs. a divisor rate, both clean) go to the
-        // faster rate — the divisor track explains only a subset.
-        let score = |c: &TrackedStream| {
-            let q = (c.residual_std / 3.0).powi(2);
-            c.n_matched() as f64 * (-q).exp()
-        };
-        // Score once per candidate: `n_matched` walks the slot list, so
-        // evaluating it inside the comparator would rescan every track
-        // O(n log n) times.
-        let mut scored: Vec<(f64, TrackedStream)> =
-            candidates.into_iter().map(|c| (score(&c), c)).collect();
-        scored.sort_by(|a, b| {
+        // faster rate — the divisor track explains only a subset. The
+        // sort is stable, so equal keys keep gather order.
+        order.clear();
+        order.extend(cands.meta.iter().enumerate().map(|(ci, c)| {
+            let q = (c.walk.residual_std / 3.0).powi(2);
+            (c.walk.n_matched as f64 * (-q).exp(), ci)
+        }));
+        order.sort_by(|a, b| {
+            let rate_of = |ci: usize| cands.meta[ci].walk.rate_bps;
             b.0.total_cmp(&a.0)
-                .then(b.1.rate_bps.total_cmp(&a.1.rate_bps))
+                .then(rate_of(b.1).total_cmp(&rate_of(a.1)))
         });
-        let candidates: Vec<TrackedStream> = scored.into_iter().map(|(_, c)| c).collect();
+        // Re-walks and alias validations see the claim mask the gather's
+        // walks saw, not the one this round's acceptances are growing.
+        gathered.clone_from(claimed);
         let mut accepted_any = false;
-        for cand in candidates {
-            let matched: Vec<usize> = cand.matched.iter().flatten().copied().collect();
+        for &(_, ci) in &order {
+            let c = &cands.meta[ci];
             // Within a round, overlapping candidates lose to the better-
             // ranked one; the next round re-tracks whatever is left.
-            if matched.iter().any(|&i| claimed[i]) {
+            if cands.edges_of(c).any(|i| claimed[i]) {
+                continue;
+            }
+            // Lazy validation: only a candidate that would otherwise be
+            // accepted pays for the alias checks. One that fails them
+            // claims nothing, exactly as if the gather had dropped it.
+            // Re-walking it (same seed, rate and claim mask, so the same
+            // walk) restores the slot grid the checks scan.
+            let Some(walk) = track_stream(
+                &view,
+                gathered,
+                c.seed_idx,
+                c.walk.rate,
+                c.walk.nominal_period,
+                n_samples,
+                cfg,
+                scratch,
+            ) else {
+                continue;
+            };
+            if !passes_alias_checks(&view, gathered, &walk, cfg, scratch) {
                 continue;
             }
             lf_obs::event!(
                 Info,
                 "accept rate={} offset={:.1} matched={} std={:.2}",
-                cand.rate_bps,
-                cand.offset,
-                matched.len(),
-                cand.residual_std
+                walk.rate_bps,
+                walk.offset,
+                walk.n_matched,
+                walk.residual_std
             );
-            for i in matched {
+            for i in cands.edges_of(c) {
                 claimed[i] = true;
                 table.retire(i);
             }
-            streams.push(cand);
+            streams.push(scratch.to_tracked(&walk, c.fold.clone()));
             accepted_any = true;
         }
         if !accepted_any {
@@ -444,136 +617,107 @@ struct RateFold {
 
 /// One gather pass over one admitted rate: read the batch-folded
 /// histogram's peaks, seed and track each, and append the candidates that
-/// pass the structural validations.
+/// pass the size gates.
 #[allow(clippy::too_many_arguments)]
 fn gather_candidates(
-    edges: &[EdgeEvent],
-    times: &[f64],
-    strengths: &[f64],
+    view: &EdgeView<'_>,
     claimed: &[bool],
     rf: &RateFold,
     hist: &FoldedHistogram,
     n_samples: usize,
     cfg: &DecoderConfig,
     scratch: &mut TrackScratch,
-    index: &EdgeTimeIndex,
-    candidates: &mut Vec<TrackedStream>,
+    cands: &mut Candidates,
 ) {
     let peaks = hist.peaks(rf.min_weight, 2);
     let mean_weight = hist.bins.iter().sum::<f64>() / hist.bins.len() as f64;
     for (pi, &(bin, weight)) in peaks.iter().enumerate() {
-        // Fold provenance for this lock: how the chosen peak compared
-        // to its rivals and to what a single tag could produce.
+        let peak_offset = hist.offset_of_bin(bin);
+        // Seed: earliest unclaimed edge in the window whose phase sits
+        // within ±1.5 bins of the peak.
+        let seed = (0..rf.end).filter(|&i| !claimed[i]).find(|&i| {
+            let phase = view.times[i].rem_euclid(rf.period);
+            let mut d = (phase - peak_offset).abs();
+            d = d.min(rf.period - d);
+            d <= 1.5 * rf.bin_width
+        });
+        let Some(seed_idx) = seed else { continue };
+        let Some(walk) = track_stream(
+            view, claimed, seed_idx, rf.rate, rf.period, n_samples, cfg, scratch,
+        ) else {
+            continue;
+        };
+        // Fold provenance for this lock: how the chosen peak compared to
+        // its rivals and to what a single tag could produce.
         let runner_up_weight = peaks
             .iter()
             .enumerate()
             .filter(|&(j, _)| j != pi)
             .map(|(_, &(_, w))| w)
             .fold(0.0f64, f64::max);
-        let fold = FoldProvenance {
-            peak_weight: weight,
-            runner_up_weight,
-            mean_weight,
-            single_tag_ceiling: rf.window_bits_actual,
-        };
-        let peak_offset = hist.offset_of_bin(bin);
-        // Seed: earliest unclaimed edge in the window whose phase sits
-        // within ±1.5 bins of the peak.
-        let seed = (0..rf.end).filter(|&i| !claimed[i]).find(|&i| {
-            let phase = times[i].rem_euclid(rf.period);
-            let mut d = (phase - peak_offset).abs();
-            d = d.min(rf.period - d);
-            d <= 1.5 * rf.bin_width
-        });
-        let Some(seed_idx) = seed else { continue };
-        if let Some(mut tracked) = track_stream(
-            edges,
-            times,
-            strengths,
-            claimed,
+        let start = cands.edges.len();
+        cands
+            .edges
+            .extend(scratch.matched.iter().flatten().map(|&i| i as u32));
+        cands.meta.push(Candidate {
+            walk,
             seed_idx,
-            rf.rate,
-            rf.period,
-            n_samples,
-            cfg,
-            TrackChecks::all(),
-            scratch,
-            index,
-        ) {
-            tracked.fold = fold;
-            candidates.push(tracked);
-        }
+            fold: FoldProvenance {
+                peak_weight: weight,
+                runner_up_weight,
+                mean_weight,
+                single_tag_ceiling: rf.window_bits_actual,
+            },
+            start,
+            end: cands.edges.len(),
+        });
     }
 }
 
-/// Re-tracks a carved stream at a harmonic of its fused rate, seeded from
-/// a known-good edge, matching only unclaimed edges. The structural alias
-/// validations are suspended ([`TrackChecks::carve`]) — the caller's
-/// split test already established the harmonic structure — but the size
-/// gates (too few matches, sparse density) still apply.
-pub(crate) fn retrack_at_harmonic(
-    edges: &[EdgeEvent],
-    claimed: &[bool],
-    seed_idx: usize,
-    rate: BitRate,
-    n_samples: usize,
-    cfg: &DecoderConfig,
-) -> Option<TrackedStream> {
-    let nominal_period = cfg.period_samples(rate.bps(cfg.rate_plan.base_bps()));
-    // Cold path (at most a few carves per epoch): building the SoA views
-    // and the index here is noise next to the blind search.
-    let times: Vec<f64> = edges.iter().map(|e| e.time).collect();
-    let strengths: Vec<f64> = edges.iter().map(|e| e.strength).collect();
-    let index = EdgeTimeIndex::build(&times, n_samples);
-    track_stream(
-        edges,
-        &times,
-        &strengths,
-        claimed,
-        seed_idx,
-        rate,
-        nominal_period,
-        n_samples,
-        cfg,
-        TrackChecks::carve(),
-        &mut TrackScratch::default(),
-        &index,
-    )
+/// Slot-matching tolerance after `coast` slots without a match. The slot
+/// prediction is good to ~a sample right after a match, but while
+/// *coasting* over flat (no-edge) slots the residual period error
+/// compounds — c slots of coasting accumulate up to c × (drift-tolerance
+/// × period) of drift. The window therefore grows with the coast length
+/// and snaps tight again on every match. (A fixed proportional window —
+/// the obvious alternative — is either too tight for sparse slow streams
+/// or so wide it hoovers up neighbours' edges and turns the track into
+/// junk.)
+fn match_tolerance(cfg: &DecoderConfig, nominal_period: f64, coast: usize) -> f64 {
+    let base = 2.0 * cfg.edge_width;
+    let growth = 2.5 * cfg.drift_tolerance * nominal_period * coast as f64;
+    let cap = base.max(nominal_period / 64.0);
+    (base + growth).min(cap).max(base)
 }
 
-/// Tracks one stream from a seed edge, matching only unclaimed edges.
-/// Returns `None` when the candidate fails the validations `checks`
-/// selects (too few matches, rate aliases). Restores `scratch`'s mask to
-/// all-clear on every exit path.
+/// Tracks one stream from a seed edge, matching only unclaimed edges,
+/// into `scratch`'s walk buffers. Returns the walk's measurements when it
+/// passes the size gates (enough matches, dense enough) — including the
+/// residual fit, one of the two numbers arbitration ranks on. The
+/// structural alias checks are *not* run here: [`passes_alias_checks`]
+/// runs them at arbitration, for the candidates that get that far.
+/// Restores `scratch`'s mask to all-clear on every exit path.
 #[allow(clippy::too_many_arguments)]
 fn track_stream(
-    edges: &[EdgeEvent],
-    times: &[f64],
-    strengths: &[f64],
+    view: &EdgeView<'_>,
     claimed: &[bool],
     seed_idx: usize,
     rate: BitRate,
     nominal_period: f64,
     n_samples: usize,
     cfg: &DecoderConfig,
-    checks: TrackChecks,
     scratch: &mut TrackScratch,
-    index: &EdgeTimeIndex,
-) -> Option<TrackedStream> {
-    scratch.reset_for(edges.len());
+) -> Option<Walk> {
+    scratch.begin_walk();
     let result = track_stream_impl(
-        edges,
-        times,
-        strengths,
+        view,
         claimed,
         seed_idx,
         rate,
         nominal_period,
         n_samples,
         cfg,
-        checks,
         scratch,
-        index,
     );
     scratch.clear_taken();
     result
@@ -583,33 +727,16 @@ fn track_stream(
 /// return with bits set — the wrapper clears them.
 #[allow(clippy::too_many_arguments)]
 fn track_stream_impl(
-    edges: &[EdgeEvent],
-    times: &[f64],
-    strengths: &[f64],
+    view: &EdgeView<'_>,
     claimed: &[bool],
     seed_idx: usize,
     rate: BitRate,
     nominal_period: f64,
     n_samples: usize,
     cfg: &DecoderConfig,
-    checks: TrackChecks,
     scratch: &mut TrackScratch,
-    index: &EdgeTimeIndex,
-) -> Option<TrackedStream> {
-    // Matching tolerance: the slot prediction is good to ~a sample right
-    // after a match, but while *coasting* over flat (no-edge) slots the
-    // residual period error compounds — c slots of coasting accumulate up
-    // to c × (drift-tolerance × period) of drift. The window therefore
-    // grows with the coast length and snaps tight again on every match.
-    // (A fixed proportional window — the obvious alternative — is either
-    // too tight for sparse slow streams or so wide it hoovers up
-    // neighbours' edges and turns the track into junk.)
-    let tol_at = |coast: usize| {
-        let base = 2.0 * cfg.edge_width;
-        let growth = 2.5 * cfg.drift_tolerance * nominal_period * coast as f64;
-        let cap = base.max(nominal_period / 64.0);
-        (base + growth).min(cap).max(base)
-    };
+) -> Option<Walk> {
+    let times = view.times;
     // The tracked period may deviate from nominal by drift tolerance plus
     // a little measurement slack.
     let max_period_dev = nominal_period * (cfg.drift_tolerance * 2.0) + 0.5;
@@ -623,26 +750,11 @@ fn track_stream_impl(
     let mut k = 0usize;
 
     let mut coast = 1usize;
-    // Window cursor: the predicted slot times are (nearly) monotone, so the
-    // first edge at-or-after each window's lower bound is found by nudging
-    // a cursor forward instead of an indexed lookup per slot; the helper
-    // verifies the cursor and falls back to the index when the bound ever
-    // steps backwards, so the result is exactly `partition_point`.
-    let mut cursor = 0usize;
     while t + period_est < n_samples as f64 {
         k += 1;
         let pred = t + period_est;
-        let tol = tol_at(coast);
-        let best = strongest_edge_in(
-            times,
-            strengths,
-            claimed,
-            &scratch.taken_mask,
-            index,
-            &mut cursor,
-            pred - tol,
-            pred + tol,
-        );
+        let tol = match_tolerance(cfg, nominal_period, coast);
+        let best = strongest_edge_in(view, claimed, &scratch.taken_mask, pred - tol, pred + tol);
         match best {
             Some(idx) => {
                 let et = times[idx];
@@ -676,11 +788,8 @@ fn track_stream_impl(
         scratch.slot_times.push(t);
     }
 
-    // --- Validation ---
-    // From here on the walk buffers are read-only; borrow them as slices
-    // so the checks read like the data they scan.
+    // --- Size gates and residual fit ---
     let matched: &[Option<usize>] = &scratch.matched;
-    let slot_times: &[f64] = &scratch.slot_times;
     let n_matched = matched.iter().filter(|m| m.is_some()).count();
     if n_matched < MIN_TRACK_MATCHES {
         lf_obs::event!(
@@ -707,36 +816,8 @@ fn track_stream_impl(
         );
         return None;
     }
-    // Rate-alias check: when (almost) all matched slot indices fall into
-    // one residue class mod m ≥ 2, the edges are really an m×-slower
-    // stream folded onto this rate's grid. A strict gcd test would be
-    // defeated by a single stray noise match, so require only an 85 %
-    // majority.
-    if checks.residue_majority {
-        for m in [2usize, 3, 4, 5] {
-            let mut counts = [0usize; 5];
-            for (slot, mm) in matched.iter().enumerate() {
-                if mm.is_some() {
-                    counts[slot % m] += 1;
-                }
-            }
-            let majority = counts[..m].iter().copied().max().unwrap_or(0);
-            if majority as f64 >= 0.85 * n_matched as f64 {
-                lf_obs::event!(
-                    Debug,
-                    "reject rate={} t0={:.1} n={} reason=residue_majority",
-                    rate.bps(cfg.rate_plan.base_bps()),
-                    t0,
-                    n_matched
-                );
-                return None;
-            }
-        }
-    }
     // Residual dispersion around the fitted line — the arbitration
-    // quality metric. Iterates the match buffer directly (in slot order,
-    // exactly the order the old materialized pair list had) so the sums
-    // are bit-identical without building a temporary Vec per candidate.
+    // quality metric. Iterates the match buffer directly, in slot order.
     let residual_of = |slot: usize, idx: usize| times[idx] - (t0 + slot as f64 * period_est);
     let mut res_sum = 0.0f64;
     for (slot, mm) in matched.iter().enumerate() {
@@ -754,21 +835,98 @@ fn track_stream_impl(
     }
     let residual_std = (var_sum / n_matched as f64).sqrt();
 
+    Some(Walk {
+        rate,
+        rate_bps: rate.bps(cfg.rate_plan.base_bps()),
+        nominal_period,
+        period_est,
+        offset: t0,
+        residual_std,
+        n_matched,
+    })
+}
+
+/// The structural alias validations of a blind-search candidate whose
+/// walk is in `scratch`, run at arbitration against `claimed` — the claim
+/// mask its walk saw. Returns `false` when the candidate is an alias of a
+/// slower or faster stream, or an interleave of same-rate streams.
+fn passes_alias_checks(
+    view: &EdgeView<'_>,
+    claimed: &[bool],
+    walk: &Walk,
+    cfg: &DecoderConfig,
+    scratch: &mut TrackScratch,
+) -> bool {
+    // The up-alias probe skips the candidate's own edges: mark them as
+    // the walk did.
+    let TrackScratch {
+        taken_mask,
+        taken,
+        slot_times,
+        matched,
+    } = scratch;
+    for &i in matched.iter().flatten() {
+        taken_mask[i] = true;
+        taken.push(i);
+    }
+    let pass = alias_checks_impl(view, claimed, walk, slot_times, matched, cfg, taken_mask);
+    scratch.clear_taken();
+    pass
+}
+
+/// [`passes_alias_checks`]' body; `taken_mask` marks the candidate's own
+/// matched edges.
+fn alias_checks_impl(
+    view: &EdgeView<'_>,
+    claimed: &[bool],
+    walk: &Walk,
+    slot_times: &[f64],
+    matched: &[Option<usize>],
+    cfg: &DecoderConfig,
+    taken_mask: &[bool],
+) -> bool {
+    let (edges, times) = (view.edges, view.times);
+    let (rate, t0, n_matched) = (walk.rate, walk.offset, walk.n_matched);
+    // Rate-alias check: when (almost) all matched slot indices fall into
+    // one residue class mod m ≥ 2, the edges are really an m×-slower
+    // stream folded onto this rate's grid. A strict gcd test would be
+    // defeated by a single stray noise match, so require only an 85 %
+    // majority.
+    for m in [2usize, 3, 4, 5] {
+        let mut counts = [0usize; 5];
+        for (slot, mm) in matched.iter().enumerate() {
+            if mm.is_some() {
+                counts[slot % m] += 1;
+            }
+        }
+        let majority = counts[..m].iter().copied().max().unwrap_or(0);
+        if majority as f64 >= 0.85 * n_matched as f64 {
+            lf_obs::event!(
+                Debug,
+                "reject rate={} t0={:.1} n={} reason=residue_majority",
+                walk.rate_bps,
+                t0,
+                n_matched
+            );
+            return false;
+        }
+    }
+
     // Super-rate (up-alias) check: a stream at rate m·r lands an edge on
     // every m-th boundary of the rate-r grid, so a rate-r hypothesis over
     // it looks perfectly healthy — while explaining only 1/m of the
     // edges. The tell: the *inter-slot* positions (slot + j·period/m)
     // hold about as many unexplained edges as the track matched. Reject
     // and let the faster hypothesis claim the stream whole.
-    for m in [2usize, 3].into_iter().filter(|_| checks.up_alias) {
+    for m in [2usize, 3] {
         let Ok(sup) = BitRate::from_multiple(rate.multiple().saturating_mul(m as u32)) else {
             continue;
         };
         if !cfg.rate_plan.contains(sup) {
             continue;
         }
-        let sub_period = nominal_period / m as f64;
-        let probe = tol_at(1);
+        let sub_period = walk.nominal_period / m as f64;
+        let probe = match_tolerance(cfg, walk.nominal_period, 1);
         let mut between_diffs: Vec<lf_types::Complex> = Vec::new();
         // A genuine up-alias matches essentially every inter-slot
         // position, so the hit count must reach 70 % of the probes. The
@@ -787,12 +945,12 @@ fn track_stream_impl(
                     break 'positions;
                 }
                 let pos = t + j as f64 * sub_period;
-                let start = index.start_of(times, pos - probe);
+                let start = view.index.start_of(times, pos - probe);
                 for (i, &et) in times.iter().enumerate().skip(start) {
                     if et > pos + probe {
                         break;
                     }
-                    if !claimed[i] && !scratch.taken_mask[i] {
+                    if !claimed[i] && !taken_mask[i] {
                         between_diffs.push(edges[i].diff);
                         break;
                     }
@@ -814,7 +972,7 @@ fn track_stream_impl(
             .collect();
         union.extend(between_diffs);
         if collinearity_ratio(&union) < 0.1 {
-            return None;
+            return false;
         }
     }
 
@@ -836,7 +994,9 @@ fn track_stream_impl(
     // distinct or near-parallel channel vectors, while leaving mixed-rate
     // deployments (where a 50 kbps neighbour periodically lands on one
     // parity of a 100 kbps stream) alone.
-    if checks.interleave && n_matched >= 6 {
+    if n_matched >= 6 {
+        let residual_of =
+            |slot: usize, idx: usize| times[idx] - (t0 + slot as f64 * walk.period_est);
         // The whole-set diversity scatter costs a `hypot` per matched
         // edge; it only matters once a partition passes (a), which most
         // candidates never reach — compute it on first use and cache.
@@ -888,8 +1048,8 @@ fn track_stream_impl(
             }
             let means: Vec<f64> = sums
                 .iter()
-                .filter(|(_, c)| *c >= 3)
-                .map(|(sum, c)| sum / *c as f64)
+                .filter(|(_, n)| *n >= 3)
+                .map(|(sum, n)| sum / *n as f64)
                 .collect();
             let timing_banded = means.len() >= 2 && {
                 let hi = means.iter().copied().fold(f64::MIN, f64::max);
@@ -900,59 +1060,29 @@ fn track_stream_impl(
                 lf_obs::event!(
                     Debug,
                     "reject rate={} t0={:.1} n={} reason=interleave",
-                    rate.bps(cfg.rate_plan.base_bps()),
+                    walk.rate_bps,
                     t0,
                     n_matched
                 );
-                return None;
+                return false;
             }
         }
     }
-
-    Some(TrackedStream {
-        rate,
-        rate_bps: rate.bps(cfg.rate_plan.base_bps()),
-        nominal_period,
-        period_est,
-        offset: t0,
-        slot_times: scratch.slot_times.clone(),
-        matched: scratch.matched.clone(),
-        residual_std,
-        // The caller (gather_candidates) fills this in from the fold peak
-        // that seeded the track.
-        fold: FoldProvenance::default(),
-    })
+    true
 }
 
 /// Strongest unclaimed edge in `[lo, hi]` not already taken by this
 /// track (`taken_mask` is epoch-edge indexed). Times are sorted, so the
-/// window is a cursor advance plus a short scan over the SoA arrays.
-///
-/// `cursor` is a per-track hint for `partition_point(|&x| x < lo)`: the
-/// tracker's window lower bounds are monotone in the common case, so the
-/// cursor only nudges forward. The invariant is re-checked every call
-/// (`times[cursor - 1] < lo`), and any backwards-stepping bound falls
-/// back to the bucketed index — the returned start is *exactly* the
-/// partition point on every path, so the probe result is identical to an
-/// unhinted lookup.
-#[allow(clippy::too_many_arguments)]
+/// window is one index lookup plus a short scan over the SoA arrays.
 fn strongest_edge_in(
-    times: &[f64],
-    strengths: &[f64],
+    view: &EdgeView<'_>,
     claimed: &[bool],
     taken_mask: &[bool],
-    index: &EdgeTimeIndex,
-    cursor: &mut usize,
     lo: f64,
     hi: f64,
 ) -> Option<usize> {
-    while *cursor < times.len() && times[*cursor] < lo {
-        *cursor += 1;
-    }
-    if *cursor > 0 && times[*cursor - 1] >= lo {
-        *cursor = index.start_of(times, lo);
-    }
-    let start = *cursor;
+    let (times, strengths) = (view.times, view.strengths);
+    let start = view.index.start_of(times, lo);
     let mut best: Option<usize> = None;
     for (i, &t) in times.iter().enumerate().skip(start) {
         if t > hi {
@@ -1244,5 +1374,48 @@ mod tests {
         let streams = find_streams(&edges, 11_000, &cfg());
         assert_eq!(streams.len(), 1);
         assert!(streams[0].residual_std < 0.1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `EdgeTimeIndex::start_of` is exactly `partition_point` over the
+        /// indexed times: on dense and sparse stretches, on duplicate edge
+        /// times, at exact edge times, before the first edge and past the
+        /// capture, and along a probe walk with short and long forward
+        /// jumps and backward steps — the access pattern of the tracker's
+        /// windows and the up-alias probes.
+        #[test]
+        fn start_of_is_partition_point(
+            gaps in proptest::collection::vec(0.0f64..600.0, 0..400),
+            first in 0.0f64..300.0,
+            steps in proptest::collection::vec(-900.0f64..40_000.0, 1..300),
+            exact_every in 1usize..8,
+        ) {
+            // Gaps under 100 samples collapse to 0: runs of equal times.
+            let mut times = Vec::with_capacity(gaps.len());
+            let mut t = first;
+            for g in gaps {
+                t += (g - 100.0).max(0.0);
+                times.push(t);
+            }
+            let n_samples = (t + 500.0).ceil() as usize;
+            let mut index = EdgeTimeIndex::default();
+            index.rebuild(&times, n_samples);
+            let check = |probe: f64| {
+                let want = times.partition_point(|&x| x < probe);
+                proptest::prop_assert_eq!(index.start_of(&times, probe), want, "probe {}", probe);
+                Ok(())
+            };
+            let mut probe = -50.0f64;
+            for (k, step) in steps.into_iter().enumerate() {
+                probe += step;
+                check(probe)?;
+                if let Some(&exact) = times.get(k * exact_every) {
+                    check(exact)?;
+                }
+            }
+            check(n_samples as f64 + 1e6)?;
+        }
     }
 }

@@ -184,10 +184,12 @@ impl FoldTable {
     }
 
     /// As [`FoldTable::fold_within`], but accumulates into a caller-owned
-    /// histogram instead of allocating one. The stream search folds the
-    /// same table once per candidate rate per gather round; reusing `out`
-    /// keeps those ~16 folds per epoch from allocating 2×`nbins` buffers
-    /// each time.
+    /// histogram instead of allocating one, so repeated folds of one table
+    /// do not allocate 2×`nbins` buffers each time. The stream search
+    /// folds at every candidate rate each gather round (up to 11 rates ×
+    /// 4 rounds on the paper's plan) and batches those folds through
+    /// [`FoldTable::fold_many_within_to`], which is pinned bit-identical
+    /// to this call.
     ///
     /// Panics if `period` or `nbins` is non-positive.
     pub fn fold_within_to(&self, period: f64, nbins: usize, t_max: f64, out: &mut FoldedHistogram) {
