@@ -98,14 +98,13 @@ fn main() -> ExitCode {
     let decoder = Decoder::with_obs(cfg, obs.clone());
 
     // One warm-up decode outside the timed window (page-in, allocator).
-    let _ = decoder.decode_timed(&fix.signal);
+    let _ = decoder.decode(&fix.signal);
     let warm = obs.registry_snapshot();
 
     let t0 = Instant::now();
     let mut streams_decoded = 0usize;
     for _ in 0..args.epochs {
-        let (decode, _) = decoder.decode_timed(&fix.signal);
-        streams_decoded += decode.streams.len();
+        streams_decoded += decoder.decode(&fix.signal).streams.len();
     }
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     let snap = obs.registry_snapshot();

@@ -51,7 +51,7 @@ pub mod streams;
 
 pub use config::{DecodeStages, DecoderConfig};
 pub use epoch::{decode_session, split_epochs, SessionEpoch};
-pub use graph::{PipelineGraph, PipelineMetrics, Stage, StageOutcome, STAGE_COUNT};
+pub use graph::{Stage, StageOutcome, STAGE_COUNT};
 pub use pipeline::{DecodedStream, Decoder, EpochDecode, StageTimings, StreamKind};
 pub use provenance::{
     AnchorOutcome, CarveProvenance, DecodeProvenance, FoldProvenance, SeparationFallback,

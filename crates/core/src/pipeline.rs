@@ -1,13 +1,13 @@
 //! The assembled decode pipeline: IQ capture in, per-tag bit streams out.
 //!
-//! [`Decoder`] is a thin facade: every entry point — [`Decoder::decode`],
-//! [`Decoder::decode_timed`], obs-enabled or not — runs the same
-//! [`crate::graph::PipelineGraph::run`] path. Stage sequencing, re-entry,
-//! spans, timings, metrics, and provenance all live in the graph runner;
-//! nothing here duplicates them.
+//! [`Decoder`] is a thin facade with two entry points — the pooled
+//! [`Decoder::decode`] and the caller-scratch [`Decoder::decode_timed_with`],
+//! obs-enabled or not — that run the same crate-private graph runner.
+//! Stage sequencing, re-entry, spans, timings, metrics, and provenance all
+//! live in the runner; nothing here duplicates them.
 
 use crate::config::DecoderConfig;
-use crate::graph::{stage_names, PipelineGraph, PipelineMetrics, STAGE_COUNT};
+use crate::graph::{run_graph, stage_names, PipelineMetrics, STAGE_COUNT};
 use crate::provenance::DecodeProvenance;
 use crate::scratch::{DecodeScratch, ScratchPool};
 use lf_obs::ObsContext;
@@ -67,9 +67,9 @@ pub struct EpochDecode {
 /// [`StageTimings::names`]`()[i]` labels `per_stage[i]`, so adding a stage
 /// to the graph automatically adds its timing slot — nothing here is
 /// hand-maintained. A re-entered stage accumulates all its executions
-/// into its one slot. The streaming runtime (`lf-reader`) aggregates
-/// these into per-stage latency percentiles; offline users can ignore
-/// them via [`Decoder::decode`].
+/// into its one slot. The streaming runtime (`lf-reader`) records these
+/// into its per-stage latency histograms; offline users can ignore them
+/// via [`Decoder::decode`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Per-stage wall clock, index-aligned with [`StageTimings::names`].
@@ -82,15 +82,6 @@ impl StageTimings {
     /// The graph's stage names, index-aligned with `per_stage`.
     pub fn names() -> [&'static str; STAGE_COUNT] {
         stage_names()
-    }
-
-    /// The timing of the named stage, or `None` if the graph has no stage
-    /// of that name.
-    pub fn get(&self, name: &str) -> Option<Duration> {
-        Self::names()
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| self.per_stage[i])
     }
 
     /// Iterates `(stage name, duration)` in graph order.
@@ -109,13 +100,15 @@ pub struct Decoder {
     /// map and formats no metric names, which is what keeps the enabled
     /// path inside the <5 % overhead budget `obs_overhead` enforces.
     metrics: Option<PipelineMetrics>,
-    /// Pool of reusable per-epoch scratch buffers: `decode`/`decode_timed`
-    /// check one out for the duration of the call and return it, so
-    /// repeated decodes through one `Decoder` allocate only on their first
-    /// epoch. Workers that own their concurrency (e.g. `lf-reader`) bypass
-    /// the pool via [`Decoder::decode_timed_with`]. The pool's concurrency
+    /// Pool of reusable per-epoch scratch buffers: `decode` checks one
+    /// out for the duration of the call and returns it, so repeated
+    /// decodes through one `Decoder` allocate only on their first epoch.
+    /// Workers that own their concurrency (e.g. `lf-reader`) bypass the
+    /// pool via [`Decoder::decode_timed_with`]. The pool's concurrency
     /// contract (exclusivity, loss tolerance, poison recovery) lives with
-    /// [`ScratchPool`].
+    /// [`ScratchPool`]. A scratch lost to an unwinding decode is simply
+    /// re-allocated on the next one, which the strict-checks poison-path
+    /// test pins as bit-identical.
     scratch: ScratchPool<DecodeScratch>,
 }
 
@@ -182,45 +175,23 @@ impl Decoder {
     /// stage boundary) panics naming the stage, so numeric taint is caught
     /// at its source instead of decaying into a wrong decode.
     pub fn decode(&self, signal: &[Complex]) -> EpochDecode {
-        self.decode_timed(signal).0
+        let mut scratch = self.scratch.checkout();
+        let (decode, _) = self.decode_timed_with(signal, &mut scratch);
+        self.scratch.checkin(scratch);
+        decode
     }
 
-    /// Decodes one epoch and reports the wall-clock cost of each stage.
-    ///
-    /// Identical decode semantics to [`Decoder::decode`] — the timings are
-    /// observation only and never influence the result, so a timed decode
-    /// of a capture is byte-identical to an untimed one.
-    pub fn decode_timed(&self, signal: &[Complex]) -> (EpochDecode, StageTimings) {
-        let mut scratch = self.checkout();
-        let out = self.decode_timed_with(signal, &mut scratch);
-        self.checkin(scratch);
-        out
-    }
-
-    /// [`Decoder::decode_timed`] with a caller-owned [`DecodeScratch`],
-    /// bypassing the internal pool. A long-running worker holds one
-    /// scratch and reuses it across epochs; decode output is bit-identical
-    /// to the pooled entry points.
+    /// [`Decoder::decode`] with a caller-owned [`DecodeScratch`], bypassing
+    /// the internal pool, plus the wall-clock cost of each stage. A
+    /// long-running worker holds one scratch and reuses it across epochs.
+    /// The timings are observation only: decode output is bit-identical
+    /// to [`Decoder::decode`].
     pub fn decode_timed_with(
         &self,
         signal: &[Complex],
         scratch: &mut DecodeScratch,
     ) -> (EpochDecode, StageTimings) {
-        PipelineGraph::run_scoped(&self.cfg, &self.obs, self.metrics.as_ref(), signal, scratch)
-    }
-
-    /// Checks a scratch out of the pool (allocating a fresh one the first
-    /// time). A poisoned pool lock only means another decode panicked
-    /// mid-epoch; the buffers carry no cross-epoch state, so recovery is
-    /// safe — and a scratch lost to an unwinding decode (checked out,
-    /// never checked in) is simply re-allocated on the next decode, which
-    /// the strict-checks poison-path test pins as bit-identical.
-    fn checkout(&self) -> DecodeScratch {
-        self.scratch.checkout()
-    }
-
-    fn checkin(&self, scratch: DecodeScratch) {
-        self.scratch.checkin(scratch);
+        run_graph(&self.cfg, &self.obs, self.metrics.as_ref(), signal, scratch)
     }
 }
 
@@ -517,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_and_decode_timed_agree() {
+    fn decode_and_decode_timed_with_agree() {
         // Both entry points are the same graph run: the decoded streams
         // must be identical and the timings self-consistent.
         let setup = build(
@@ -533,7 +504,8 @@ mod tests {
         );
         let decoder = Decoder::new(cfg());
         let plain = decoder.decode(&setup.signal);
-        let (timed, timings) = decoder.decode_timed(&setup.signal);
+        let (timed, timings) =
+            decoder.decode_timed_with(&setup.signal, &mut DecodeScratch::default());
         assert_eq!(plain.streams.len(), timed.streams.len());
         for (a, b) in plain.streams.iter().zip(&timed.streams) {
             assert_eq!(a.rate_bps, b.rate_bps);
@@ -541,9 +513,9 @@ mod tests {
         }
         assert!(timings.total >= timings.per_stage.iter().sum::<Duration>());
         assert_eq!(StageTimings::names().len(), STAGE_COUNT);
-        for (name, d) in timings.iter() {
-            assert_eq!(timings.get(name), Some(d));
+        for (i, (name, d)) in timings.iter().enumerate() {
+            assert_eq!(name, StageTimings::names()[i]);
+            assert_eq!(d, timings.per_stage[i]);
         }
-        assert_eq!(timings.get("no-such-stage"), None);
     }
 }

@@ -28,7 +28,7 @@ use std::sync::{Mutex, PoisonError};
 
 /// Reusable buffers for one epoch decode, owned by a worker (or the
 /// [`Decoder`](crate::Decoder)'s internal pool) and threaded through
-/// [`PipelineGraph::run_with`](crate::PipelineGraph::run_with).
+/// [`Decoder::decode_timed_with`](crate::Decoder::decode_timed_with).
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     /// Epoch-wide prefix sums, shared by the edges and slots stages.

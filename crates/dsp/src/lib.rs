@@ -7,7 +7,7 @@
 //!
 //! * [`stats`] — running moments, 2-D Gaussian fits (Viterbi emissions,
 //!   §3.5), the Q-function used for analytic BER curves (Fig. 14).
-//! * [`kmeans`] — k-means++ clustering over IQ points plus model selection
+//! * [`kmeans`](mod@kmeans) — k-means++ clustering over IQ points plus model selection
 //!   between cluster counts (collision detection, §3.3 "performing k-means
 //!   clustering and determining the best fit in terms of number of
 //!   clusters").

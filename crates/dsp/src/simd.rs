@@ -17,11 +17,11 @@
 //! the golden decode digest. Backend selection can therefore never change a
 //! decode.
 //!
-//! Selection order: the `simd` cargo feature must be on (default), the
-//! target must be x86_64, the build must not be under Miri (Miri cannot
-//! execute vendor intrinsics), the process-wide scalar override must be
-//! off, and `avx512f` must be detected at runtime. Anything else runs the
-//! scalar fallbacks.
+//! Selection order: the target must be x86_64, the build must not be
+//! under Miri (Miri cannot execute vendor intrinsics), the process-wide
+//! scalar override ([`set_scalar_override`]) must be off, and `avx512f`
+//! must be detected at runtime. Anything else runs the scalar fallbacks,
+//! which are always compiled: they are the proptest oracle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -52,7 +52,7 @@ pub enum Backend {
 
 /// Resolves the backend the kernels will use for the current call.
 pub fn active_backend() -> Backend {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         // ordering: Relaxed suffices — the flag guards no other memory;
         // either backend produces bit-identical outputs, so a stale read
@@ -90,7 +90,7 @@ pub fn diff_msq_into(re: &[f64], im: &[f64], guard: usize, window: usize, out: &
         return;
     }
     match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
         Backend::Avx512f => x86::diff_msq(re, im, lo, hi, guard, window, out),
         _ => diff_msq_scalar(re, im, lo, hi, guard, window, out),
     }
@@ -128,7 +128,7 @@ pub fn sqrt_abs_dev_into(msq: &[f64], med: f64, out: &mut Vec<f64>) {
     out.clear();
     out.resize(msq.len(), 0.0);
     match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
         Backend::Avx512f => x86::sqrt_abs_dev(msq, med, out),
         _ => sqrt_abs_dev_scalar(msq, med, out),
     }
@@ -151,7 +151,7 @@ pub fn first_at_or_above(series: &[f64], from: usize, cutoff: f64) -> usize {
     let n = series.len();
     let mut i = from.min(n);
     match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
         Backend::Avx512f => x86::first_at_or_above(series, i, cutoff),
         _ => {
             while i < n && series[i] < cutoff {
@@ -188,7 +188,7 @@ pub fn nearest_centroid_into(
         return;
     }
     match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
         Backend::Avx512f => x86::nearest_centroid(pre, pim, cre, cim, idx, dist),
         _ => nearest_centroid_scalar(pre, pim, cre, cim, idx, dist),
     }
@@ -225,7 +225,7 @@ fn nearest_centroid_scalar(
 
 /// AVX-512F variants. Every loop performs the same IEEE operations as its
 /// scalar reference, lane by lane; tails re-enter the scalar spelling.
-#[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 #[allow(unsafe_code)]
 mod x86 {
     use core::arch::x86_64::{

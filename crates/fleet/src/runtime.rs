@@ -11,7 +11,7 @@
 //! One coordinator thread polls every reader with the non-blocking
 //! [`ReaderRuntime::try_recv`] (no thread per reader), extracts
 //! CRC-verified frames from each decode, claims their content-addressed
-//! [`FrameId`]s in the [`DedupRegistry`], and publishes each winning
+//! [`FrameId`](crate::FrameId)s in the [`DedupRegistry`], and publishes each winning
 //! claim to the [`FrameBus`] — so every over-the-air frame reaches every
 //! subscriber exactly once no matter how many antennas decoded it.
 //!

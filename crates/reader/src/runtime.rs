@@ -49,10 +49,9 @@ use std::thread::JoinHandle;
 /// `lf_core::Decoder`; tests and ablations can substitute their own.
 ///
 /// Each worker thread owns one [`DecodeScratch`] for its whole lifetime
-/// and passes it to every decode, so a decoder built on
-/// [`lf_core::PipelineGraph`](lf_core::PipelineGraph) allocates its epoch
-/// buffers once per worker, not once per epoch. Decoders that don't reuse
-/// buffers simply ignore the argument.
+/// and passes it to every decode, so `lf_core::Decoder` allocates its
+/// epoch buffers once per worker, not once per epoch. Decoders that don't
+/// reuse buffers simply ignore the argument.
 pub trait EpochDecoder: Send + Sync + 'static {
     /// Decodes one segmented epoch, reporting per-stage timings.
     fn decode_epoch(
@@ -491,23 +490,9 @@ impl ReaderRuntime {
         ReaderRuntime::spawn(source, Arc::new(Decoder::new(decoder_cfg)), &cfg)
     }
 
-    /// [`ReaderRuntime::spawn_decoder`] with an observability context:
-    /// the pipeline decoder itself is built over `obs`, so decode spans
-    /// (`pipeline.*`, `dsp.*`) and metrics land in the same registry as
-    /// the `reader.*` runtime counters.
-    pub fn spawn_decoder_with_obs<S: IqSource + 'static>(
-        source: S,
-        decoder_cfg: DecoderConfig,
-        obs: ObsContext,
-    ) -> Self {
-        let cfg = RuntimeConfig::for_decoder(&decoder_cfg);
-        let decoder = Arc::new(Decoder::with_obs(decoder_cfg, obs.clone()));
-        ReaderRuntime::spawn_with_obs(source, decoder, &cfg, obs)
-    }
-
     /// The observability context this runtime records into. Disabled
-    /// (all recordings no-ops) unless the runtime was spawned through one
-    /// of the `*_with_obs` constructors.
+    /// (all recordings no-ops) unless the runtime was spawned through
+    /// [`ReaderRuntime::spawn_with_obs`].
     pub fn obs(&self) -> &ObsContext {
         &self.obs
     }

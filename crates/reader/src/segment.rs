@@ -20,6 +20,7 @@
 //! threshold over an all-noise capture — must not buffer forever).
 
 use lf_core::config::DecoderConfig;
+use lf_dsp::stats::median_inplace;
 use lf_types::Complex;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -212,8 +213,8 @@ impl OnlineSegmenter {
     /// Sets the threshold from the calibration buffer and replays the
     /// buffered samples through the state machine.
     fn complete_calibration(&mut self, out: &mut Vec<SegmentedEpoch>) {
-        let smoothed: Vec<f64> = self.calib.iter().map(|&(_, p)| p).collect();
-        self.threshold = Some(0.5 * median(&smoothed));
+        let mut smoothed: Vec<f64> = self.calib.iter().map(|&(_, p)| p).collect();
+        self.threshold = Some(0.5 * median_inplace(&mut smoothed));
         let buffered = std::mem::take(&mut self.calib);
         for (s, p) in buffered {
             self.step(s, p, out);
@@ -304,24 +305,6 @@ fn trim_trailing_gap(pending: &mut Vec<Complex>, threshold: f64, smooth: usize) 
         .count()
         .min(smooth);
     pending.truncate(pending.len() - extra);
-}
-
-/// Median by `total_cmp` (NaN-total, like `lf_dsp::stats::median`);
-/// duplicated here to keep the segmenter's hot path free of cross-crate
-/// inlining surprises — the two must agree only in spirit, the threshold
-/// is a coarse half-power cut.
-fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        0.5 * (v[mid - 1] + v[mid])
-    }
 }
 
 #[cfg(test)]

@@ -2,12 +2,12 @@
 //!
 //! Counters are [`lf_obs`] registry handles — sharded atomics bumped by
 //! the pipeline threads that double as named metrics (`reader.*`) in the
-//! runtime's [`lf_obs::ObsContext`]. Decode latencies additionally go
-//! into fixed-size rings (last 1024 epochs per stage) under a short-lived
-//! mutex: the registry histograms accumulate since startup, while the
-//! rings give *exact* recent-window percentiles. [`RuntimeStats`] is a
-//! self-consistent-enough snapshot for a poll loop — the runtime keeps
-//! serving while it is taken.
+//! runtime's [`lf_obs::ObsContext`]. Decode latencies go into the
+//! `reader.stage.<name>.ns` histograms, and [`RuntimeStats::latency`] is
+//! read from snapshots of those same histograms: since-start percentiles
+//! at the histogram's 12.5 % bucket resolution, with an exact count and
+//! maximum. [`RuntimeStats`] is a self-consistent-enough snapshot for a
+//! poll loop — the runtime keeps serving while it is taken.
 //!
 //! The per-stage breakdown is derived from the decode graph itself
 //! ([`StageTimings::names`]), so a stage added to `lf_core::graph` shows
@@ -16,21 +16,16 @@
 
 use lf_core::pipeline::StageTimings;
 use lf_core::STAGE_COUNT;
-use lf_obs::{Counter, Gauge, Histogram, ObsContext};
-use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
+use lf_obs::{Counter, Gauge, Histogram, HistogramSnapshot, ObsContext};
 use std::time::Duration;
-
-/// How many recent epochs the latency percentiles are computed over.
-const LATENCY_RING: usize = 1024;
 
 /// Shared mutable statistics, owned by the runtime behind an `Arc`.
 ///
 /// Every counter and gauge is a registry handle: when the runtime was
 /// spawned with an enabled [`ObsContext`] they are readable (and
 /// exportable) through that registry under `reader.*` names; with a
-/// disabled context the handles are detached but still count, so
-/// [`RuntimeStats`] works identically either way.
+/// disabled context the handles are detached but still count and record,
+/// so [`RuntimeStats`] works identically either way.
 #[derive(Debug)]
 pub(crate) struct StatsShared {
     pub chunks_in: Counter,
@@ -46,25 +41,11 @@ pub(crate) struct StatsShared {
     /// construction so the per-epoch path never formats a metric name.
     h_stages: [Histogram; STAGE_COUNT],
     h_total: Histogram,
-    latencies: Mutex<LatencyRings>,
 }
 
 impl Default for StatsShared {
     fn default() -> Self {
         StatsShared::new(&ObsContext::disabled())
-    }
-}
-
-#[derive(Debug, Default)]
-struct LatencyRings {
-    per_stage: [VecDeque<u64>; STAGE_COUNT],
-    total: VecDeque<u64>,
-}
-
-fn push_ring(ring: &mut VecDeque<u64>, v: u64) {
-    ring.push_back(v);
-    if ring.len() > LATENCY_RING {
-        ring.pop_front();
     }
 }
 
@@ -91,7 +72,6 @@ impl StatsShared {
                 obs.histogram(&format!("reader.stage.{}.ns", names[i]))
             }),
             h_total: obs.histogram("reader.stage.total.ns"),
-            latencies: Mutex::new(LatencyRings::default()),
         }
     }
 
@@ -106,14 +86,6 @@ impl StatsShared {
         }
         self.h_total
             .record_with_exemplar(nanos_of(t.total), seq, key);
-        let mut rings = self
-            .latencies
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for (ring, d) in rings.per_stage.iter_mut().zip(t.per_stage) {
-            push_ring(ring, nanos_of(d));
-        }
-        push_ring(&mut rings.total, nanos_of(t.total));
     }
 
     pub fn snapshot(&self, job_queue_depth: usize, result_queue_depth: usize) -> RuntimeStats {
@@ -123,15 +95,10 @@ impl StatsShared {
             .set(i64::try_from(job_queue_depth).unwrap_or(i64::MAX));
         self.result_queue_depth
             .set(i64::try_from(result_queue_depth).unwrap_or(i64::MAX));
-        let rings = self
-            .latencies
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
         let latency = StageLatencies {
-            per_stage: std::array::from_fn(|i| LatencySummary::of(&rings.per_stage[i])),
-            total: LatencySummary::of(&rings.total),
+            per_stage: std::array::from_fn(|i| LatencySummary::of(&self.h_stages[i].snapshot())),
+            total: LatencySummary::of(&self.h_total.snapshot()),
         };
-        drop(rings);
         RuntimeStats {
             chunks_in: self.chunks_in.get(),
             samples_in: self.samples_in.get(),
@@ -147,10 +114,14 @@ impl StatsShared {
     }
 }
 
-/// Percentiles of one stage's decode latency over the recent ring.
+/// Percentiles of one stage's decode latency since the runtime started.
+///
+/// Read from the stage's `reader.stage.<name>.ns` histogram: `count` and
+/// `max` are exact, the percentiles are accurate to the histogram's
+/// 12.5 % bucket width (see [`HistogramSnapshot::quantile`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
-    /// Epochs the summary covers (≤ 1024).
+    /// Epochs the summary covers.
     pub count: usize,
     /// Median latency.
     pub p50: Duration,
@@ -158,39 +129,25 @@ pub struct LatencySummary {
     pub p90: Duration,
     /// 99th percentile.
     pub p99: Duration,
-    /// Worst recent latency.
+    /// Worst latency.
     pub max: Duration,
 }
 
 impl LatencySummary {
-    /// Nearest-rank percentiles over the ring. Degenerate cases are
-    /// exact by construction: an empty ring is all-zero with `count == 0`
+    /// Summarizes a histogram snapshot. Degenerate cases are exact by
+    /// construction: an empty histogram is all-zero with `count == 0`
     /// (distinguishable from a real zero-latency sample only by the
     /// count), and a single sample reports that sample at every
     /// percentile and as the max — including a saturated `u64::MAX`
     /// nanosecond reading, which must survive unclipped.
-    fn of(ring: &VecDeque<u64>) -> Self {
-        if ring.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut v: Vec<u64> = ring.iter().copied().collect();
-        v.sort_unstable();
-        let pick = |p: f64| -> Duration {
-            // Nearest-rank percentile over the sorted ring. The clamp to
-            // [1, len] keeps the rank exact at both tails (p→0 picks the
-            // minimum, p→100 the maximum) for any ring length, including
-            // a single sample.
-            let rank = (p / 100.0 * v.len() as f64)
-                .ceil()
-                .clamp(1.0, v.len() as f64) as usize;
-            Duration::from_nanos(v[rank - 1])
-        };
+    fn of(h: &HistogramSnapshot) -> Self {
+        let at = |q: f64| Duration::from_nanos(h.quantile(q).unwrap_or(0));
         LatencySummary {
-            count: v.len(),
-            p50: pick(50.0),
-            p90: pick(90.0),
-            p99: pick(99.0),
-            max: Duration::from_nanos(v[v.len() - 1]),
+            count: usize::try_from(h.count).unwrap_or(usize::MAX),
+            p50: at(0.50),
+            p90: at(0.90),
+            p99: at(0.99),
+            max: at(1.0),
         }
     }
 }
@@ -211,14 +168,6 @@ impl StageLatencies {
     /// stage).
     pub fn names() -> [&'static str; STAGE_COUNT] {
         StageTimings::names()
-    }
-
-    /// The summary for the stage called `name`, if there is one.
-    pub fn get(&self, name: &str) -> Option<LatencySummary> {
-        Self::names()
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| self.per_stage[i])
     }
 
     /// `(stage name, summary)` pairs in execution order.
@@ -249,7 +198,7 @@ pub struct RuntimeStats {
     pub job_queue_depth: usize,
     /// Results waiting for the consumer right now.
     pub result_queue_depth: usize,
-    /// Decode latency percentiles over the recent epochs.
+    /// Decode latency percentiles since the runtime started.
     pub latency: StageLatencies,
 }
 
@@ -269,63 +218,39 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_over_known_ring() {
-        let mut ring = VecDeque::new();
-        for k in 1..=100u64 {
-            ring.push_back(k * 1000);
-        }
-        let s = LatencySummary::of(&ring);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50, Duration::from_nanos(50_000));
-        assert_eq!(s.p90, Duration::from_nanos(90_000));
-        assert_eq!(s.p99, Duration::from_nanos(99_000));
-        assert_eq!(s.max, Duration::from_nanos(100_000));
-    }
-
-    #[test]
-    fn empty_ring_is_zero() {
-        assert_eq!(
-            LatencySummary::of(&VecDeque::new()),
-            LatencySummary::default()
-        );
+    fn empty_histograms_are_zero() {
+        let snap = StatsShared::default().snapshot(0, 0);
+        assert_eq!(snap.latency, StageLatencies::default());
     }
 
     #[test]
     fn single_sample_is_exact_at_every_percentile() {
-        let mut ring = VecDeque::new();
-        ring.push_back(42_000u64);
-        let s = LatencySummary::of(&ring);
+        let stats = StatsShared::default();
+        let t = sample_timings();
+        stats.record_latency(&t, (0, 0));
+        let s = stats.snapshot(0, 0).latency.total;
         assert_eq!(s.count, 1);
-        let exact = Duration::from_nanos(42_000);
-        assert_eq!(s.p50, exact);
-        assert_eq!(s.p90, exact);
-        assert_eq!(s.p99, exact);
-        assert_eq!(s.max, exact);
+        assert_eq!(s.p50, t.total);
+        assert_eq!(s.p90, t.total);
+        assert_eq!(s.p99, t.total);
+        assert_eq!(s.max, t.total);
     }
 
     #[test]
     fn saturated_single_sample_survives_unclipped() {
         // A Duration too large for u64 nanoseconds saturates on record;
         // the summary must carry the sentinel through, not mangle it.
-        let mut ring = VecDeque::new();
-        ring.push_back(u64::MAX);
-        let s = LatencySummary::of(&ring);
+        let stats = StatsShared::default();
+        let t = StageTimings {
+            total: Duration::MAX,
+            ..sample_timings()
+        };
+        stats.record_latency(&t, (0, 0));
+        let s = stats.snapshot(0, 0).latency.total;
         assert_eq!(s.count, 1);
         assert_eq!(s.p50, Duration::from_nanos(u64::MAX));
         assert_eq!(s.p99, Duration::from_nanos(u64::MAX));
         assert_eq!(s.max, Duration::from_nanos(u64::MAX));
-    }
-
-    #[test]
-    fn ring_is_bounded() {
-        let stats = StatsShared::default();
-        let t = sample_timings();
-        for _ in 0..(LATENCY_RING + 50) {
-            stats.record_latency(&t, (0, 0));
-        }
-        let snap = stats.snapshot(0, 0);
-        assert_eq!(snap.latency.total.count, LATENCY_RING);
-        assert_eq!(snap.latency.total.p50, t.total);
     }
 
     #[test]
@@ -335,12 +260,10 @@ mod tests {
         stats.record_latency(&t, (0, 0));
         let snap = stats.snapshot(0, 0);
         for (i, (name, summary)) in snap.latency.iter().enumerate() {
+            assert_eq!(name, StageLatencies::names()[i]);
             assert_eq!(summary.count, 1, "stage {name}");
             assert_eq!(summary.p50, t.per_stage[i], "stage {name}");
-            assert_eq!(snap.latency.get(name), Some(summary));
         }
-        assert_eq!(snap.latency.get("total"), None);
-        assert_eq!(snap.latency.get("no-such-stage"), None);
     }
 
     #[test]

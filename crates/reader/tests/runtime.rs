@@ -8,6 +8,7 @@
 #![allow(clippy::unwrap_used)]
 
 use lf_core::pipeline::{Decoder, EpochDecode, StageTimings};
+use lf_obs::{HistogramSnapshot, MetricValue, ObsContext};
 use lf_reader::{
     sequential_decode, Backpressure, DiagSinks, EpochDecoder, EpochReport, EpochResult,
     ReaderRuntime, RuntimeConfig, ScenarioSource, SegmenterConfig, SliceSource, ThresholdPolicy,
@@ -99,6 +100,38 @@ fn parallel_pool_matches_sequential_decode() {
     assert_eq!(stats.latency.total.count, 4);
     assert!(stats.latency.total.p50 > Duration::ZERO);
     assert!(stats.latency.total.max >= stats.latency.total.p50);
+}
+
+/// `RuntimeStats::latency` is read from the `reader.stage.*.ns` registry
+/// histograms, not kept a second time: after a real multi-epoch run, every
+/// stage summary equals the quantiles of that stage's registry snapshot.
+#[test]
+fn stage_latencies_are_the_registry_histograms() {
+    let sc = four_tag_scenario();
+    let dec_cfg = sc.decoder_config();
+    let mut cfg = RuntimeConfig::for_decoder(&dec_cfg);
+    cfg.workers = 2;
+    let (src, _) = ScenarioSource::new(sc, 6, 6_000, 4_096);
+    let obs = ObsContext::new();
+    let mut rt =
+        ReaderRuntime::spawn_with_obs(src, Arc::new(Decoder::new(dec_cfg)), &cfg, obs.clone());
+    let got = drain(&mut rt);
+    let stats = rt.join();
+    assert_eq!(got.len(), 6);
+    let snap = obs.registry_snapshot();
+    let at = |h: &HistogramSnapshot, q: f64| Duration::from_nanos(h.quantile(q).unwrap());
+    let stages = stats.latency.iter().chain([("total", stats.latency.total)]);
+    for (name, summary) in stages {
+        let key = format!("reader.stage.{name}.ns");
+        let Some(MetricValue::Histogram(h)) = snap.get(&key) else {
+            panic!("missing histogram {key}");
+        };
+        assert_eq!(summary.count, 6, "{key}");
+        assert_eq!(summary.count as u64, h.count, "{key}");
+        assert_eq!(summary.p50, at(h, 0.50), "{key}");
+        assert_eq!(summary.p99, at(h, 0.99), "{key}");
+        assert_eq!(summary.max, Duration::from_nanos(h.max), "{key}");
+    }
 }
 
 // --- synthetic fixtures for the policy/containment tests -----------------

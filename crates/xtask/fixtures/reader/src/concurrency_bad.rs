@@ -8,22 +8,22 @@ use std::sync::{Condvar, Mutex};
 
 pub struct Shared {
     state: Mutex<Vec<u32>>,
-    latencies: Mutex<Vec<u64>>,
+    slots: Mutex<Vec<u64>>,
     ready: Condvar,
     hits: AtomicU64,
 }
 
 impl Shared {
     pub fn inverted_lock_order(&self) {
-        let lat = self.latencies.lock().unwrap();
+        let slot = self.slots.lock().unwrap();
         let st = self.state.lock().unwrap(); // seeded: outer after inner
-        drop((lat, st));
+        drop((slot, st));
     }
 
     pub fn ordered_locks_are_fine(&self) {
         let st = self.state.lock().unwrap();
-        let lat = self.latencies.lock().unwrap();
-        drop((st, lat));
+        let slot = self.slots.lock().unwrap();
+        drop((st, slot));
     }
 
     pub fn bump_unjustified(&self) {
@@ -77,14 +77,14 @@ mod tests {
     fn in_test_code_concurrency_is_exempt() {
         let shared = Shared {
             state: Mutex::new(Vec::new()),
-            latencies: Mutex::new(Vec::new()),
+            slots: Mutex::new(Vec::new()),
             ready: Condvar::new(),
             hits: AtomicU64::new(0),
         };
         // in_test_code: unjustified atomics and inverted locks are exempt.
         shared.hits.fetch_add(1, Ordering::SeqCst);
-        let lat = shared.latencies.lock().unwrap();
+        let slot = shared.slots.lock().unwrap();
         let st = shared.state.lock().unwrap();
-        drop((lat, st));
+        drop((slot, st));
     }
 }

@@ -36,7 +36,7 @@
 //!   the decode pipeline's stage internals (`detect_edges`,
 //!   `find_streams`, `slot_differentials`, `analyze_slots`,
 //!   `decode_single`, …) directly. The stage graph
-//!   (`lf_core::graph::PipelineGraph`, behind the `Decoder` facade) is
+//!   (`lf_core::graph`'s runner, behind the `Decoder` facade) is
 //!   the only sanctioned composition: it owns stage ordering, re-entry,
 //!   and the single instrumentation point, so a hand-rolled pipeline
 //!   silently loses provenance, spans, and the sub-harmonic carve.
@@ -58,8 +58,7 @@
 //!   interleaving with a host application's output. Binaries, examples,
 //!   and test code are exempt: they own their stdout.
 //! * [`Rule::LockOrdering`] — the workspace's ranked mutexes are acquired
-//!   outermost-first: `state → truths → metrics → scratch → latencies →
-//!   slots`. Within one function, textually acquiring a lower-ranked
+//!   outermost-first: `state → truths → metrics → scratch → slots`. Within one function, textually acquiring a lower-ranked
 //!   (more outer) lock after a higher-ranked one is the shape every
 //!   lock-order deadlock starts as; the `lf-check` model harness proves
 //!   the inversion deadlocks (`reports_lock_inversion_as_deadlock`), this
@@ -419,8 +418,8 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                     rule: Rule::NoStageBypass,
                     message: format!(
                         "`{}` is a decode-stage internal; compose stages \
-                         through `Decoder`/`PipelineGraph` so ordering, \
-                         re-entry, and provenance are owned by the graph",
+                         through `Decoder` so ordering, re-entry, and \
+                         provenance are owned by the graph",
                         what.trim_end_matches('(')
                     ),
                 });
@@ -739,19 +738,12 @@ fn is_fn_decl(trimmed: &str) -> bool {
 /// The workspace's ranked mutexes, outermost first. A function acquiring
 /// two of these must take the lower index first. Unranked locks (local
 /// test mutexes, shim internals) are outside the discipline.
-const LOCK_RANKS: &[&str] = &[
-    "state",
-    "truths",
-    "metrics",
-    "scratch",
-    "latencies",
-    "slots",
-];
+const LOCK_RANKS: &[&str] = &["state", "truths", "metrics", "scratch", "slots"];
 
 /// The rank of the field a `.lock()` call on this line acquires, if the
 /// field is ranked. Handles rustfmt's split chains: when `.lock()` opens
 /// the line, the field identifier is the tail of the previous line
-/// (`self\n.latencies\n.lock()`, `self.slots[idx]\n.lock()`).
+/// (`self\n.scratch\n.lock()`, `self.slots[idx]\n.lock()`).
 fn locked_rank(code: &str, idx: usize, lines: &[&str]) -> Option<usize> {
     let pos = code.find(".lock()")?;
     let mut ident = trailing_field_ident(&code[..pos]);
@@ -851,7 +843,7 @@ fn condvar_wait_outside_loop(lines: &[&str], idx: usize) -> bool {
 /// Identifier stems that mark a `let _ =` right-hand side as producing a
 /// decode or frame value — the quantities the delivery ledger accounts
 /// for. Each identifier token on the right-hand side is checked for a
-/// stem case-insensitively (`decode`, `decoder.decode_timed`,
+/// stem case-insensitively (`decode`, `decoder.decode_timed_with`,
 /// `EpochDecode`, `recv`, `try_recv`, `frames`), so a drop of any of
 /// them fires while `EpochReport` tombstones, `join()` handles, and
 /// `flight.trigger(…)` stay silent.
@@ -1048,12 +1040,12 @@ mod tests {
     #[test]
     fn trailing_field_ident_reads_chain_tails() {
         assert_eq!(trailing_field_ident("recover(self.state"), "state");
-        assert_eq!(trailing_field_ident("    .latencies"), "latencies");
+        assert_eq!(trailing_field_ident("    .scratch"), "scratch");
         assert_eq!(
             trailing_field_ident("let mut slot = self.slots[idx]"),
             "slots"
         );
-        assert_eq!(trailing_field_ident("let mut rings = self"), "self");
+        assert_eq!(trailing_field_ident("let mut pool = self"), "self");
         assert_eq!(trailing_field_ident("drop(st);"), "");
     }
 
@@ -1063,11 +1055,11 @@ mod tests {
         let lines = ["let st = recover(self.state.lock());"];
         assert_eq!(locked_rank(lines[0], 0, &lines), Some(0));
         // rustfmt-split chain: `.lock()` opens the line, field above.
-        let lines = ["let mut rings = self", "    .latencies", "    .lock()"];
-        assert_eq!(locked_rank(lines[2], 2, &lines), Some(4));
+        let lines = ["let mut pool = self", "    .scratch", "    .lock()"];
+        assert_eq!(locked_rank(lines[2], 2, &lines), Some(3));
         // Indexed field above.
         let lines = ["let mut slot = self.slots[idx]", "    .lock()"];
-        assert_eq!(locked_rank(lines[1], 1, &lines), Some(5));
+        assert_eq!(locked_rank(lines[1], 1, &lines), Some(4));
         // Unranked locals stay outside the discipline.
         let lines = ["let g = my_mutex.lock();"];
         assert_eq!(locked_rank(lines[0], 0, &lines), None);
@@ -1144,7 +1136,9 @@ mod tests {
     #[test]
     fn unattributed_drop_probe() {
         assert!(has_unattributed_drop("let _ = decoder.decode(&signal);"));
-        assert!(has_unattributed_drop("let _ = self.decode_timed(&sig);"));
+        assert!(has_unattributed_drop(
+            "let _ = self.decode_timed_with(&sig, &mut s);"
+        ));
         assert!(has_unattributed_drop("let _ = sub.recv();"));
         assert!(has_unattributed_drop("let _ = results.try_recv();"));
         assert!(has_unattributed_drop("let _ = frames.pop();"));
